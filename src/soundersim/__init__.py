@@ -13,7 +13,6 @@ from .averager import (
     AveragerState,
     Phase,
     Snapshot,
-    run_receiver,
     run_state_machine,
     select_and_average,
     step_state_machine,

@@ -35,15 +35,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedStreamError
 from .fixedpoint import SAMPLE_DTYPE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .config import SounderConfig
 
 #: One memory word: two complex samples, ((i0, q0), (i1, q1)).
 Word = tuple[tuple[int, int], tuple[int, int]]
@@ -263,20 +259,3 @@ def select_and_average(
     data["q"] = acc_q
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)
 
-
-def run_receiver(
-    stream: np.ndarray, cfg: "SounderConfig", n_snapshots: int
-) -> list[Snapshot]:
-    """Average ``n_snapshots`` consecutive trigger windows of a stream.
-
-    Window ``k`` starts at sample ``k * cfg.frame_len``; everything
-    after the averaging window up to the next trigger is skipped.  The
-    stream may end once the last averaging window is complete.
-    """
-    acfg = cfg.averager_config()
-    snapshots = []
-    for k in range(n_snapshots):
-        start = k * cfg.frame_len
-        window = stream[start : start + acfg.window_len]
-        snapshots.append(select_and_average(window, acfg, snapshot_index=k))
-    return snapshots

@@ -7,13 +7,19 @@ trigger window through the channel and the select-and-average stage,
 and returns the snapshots plus provenance as a :class:`Capture`.
 
 The transmitter replays one frame forever, so the steady-state link is
-periodic with the frame length and each snapshot can be simulated from
-a single frame: the channel is applied to the frame extended by its own
-tail (circular wrap), which is exact for every sample of the window.
-Only the noise and interferer phases differ between snapshots; noise
-for snapshot k comes from an independent PCG64 stream spawned from the
-channel seed with key (k,), so any snapshot can be reproduced without
-generating its predecessors.
+periodic with the frame length, and the averager reads only the first
+``window_len`` samples after each trigger.  So each snapshot propagates
+just the transmit samples its window depends on: the window plus the
+``max_delay`` samples before it, gathered modulo the frame length (either
+may wrap across the frame end), which is exact for every sample of the
+window.  The channel output keeps its ``max_delay`` tail, so
+``window_len + 2 * max_delay`` samples are propagated, and the header's
+saturation count covers exactly those.  Only the noise and interferer
+phases differ between snapshots; noise for snapshot k comes from an
+independent PCG64 stream spawned from the channel seed with key (k,),
+drawn over the propagated samples (the ``"pcg64-window"`` scheme named
+in the header), so any snapshot can be reproduced without generating
+its predecessors.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -143,27 +149,27 @@ def run_campaign(
     frame_len = cfg.frame_len
     acfg = cfg.averager_config()
 
-    # The receiver sees frame[(n - offset) mod frame_len]; prepend the
-    # rolled frame's tail so the tapped delay line wraps circularly.
-    rx_frame = np.roll(frame, offset)
+    # The receiver sees frame[(n - offset) mod frame_len]; its window
+    # needs only its own transmit samples and the max_delay before them.
     tail = model.max_delay
-    extended = np.concatenate([rx_frame[frame_len - tail:], rx_frame])
+    window_len = acfg.window_len
+    segment = frame[(np.arange(-tail, window_len) - offset) % frame_len]
 
     snapshots: list[Snapshot] = []
     clipped = 0
     for k in range(cfg.num_snapshots):
         rng = snapshot_rng(model.seed, k)
         result = apply_channel(
-            extended, model, start_index=k * frame_len - tail, rng=rng
+            segment, model, start_index=k * frame_len - tail, rng=rng
         )
-        stream = result.samples[tail : tail + frame_len]
+        stream = result.samples[tail : tail + window_len]
         clipped += result.clipped_components
         snapshots.append(select_and_average(stream, acfg, snapshot_index=k))
 
     return Capture(
         config=cfg,
         channel_digest=channel_digest(model),
-        prng="pcg64",
+        prng="pcg64-window",
         seed=model.seed,
         created=_timestamp(created),
         clipped_components=clipped,

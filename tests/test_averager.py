@@ -8,7 +8,6 @@ from soundersim.averager import (
     AveragerConfig,
     AveragerState,
     Phase,
-    run_receiver,
     run_state_machine,
     select_and_average,
     step_state_machine,
@@ -161,28 +160,33 @@ def _small_sounder_config():
     )
 
 
-def test_run_receiver_empty():
-    cfg = _small_sounder_config()
-    assert run_receiver(fp.zeros(0), cfg, 0) == []
+def _average_frames(stream, cfg, count):
+    # One trigger per frame: snapshot k averages the window at k * frame_len.
+    acfg = cfg.averager_config()
+    return [
+        select_and_average(stream[k * cfg.frame_len:k * cfg.frame_len + acfg.window_len],
+                           acfg, snapshot_index=k)
+        for k in range(count)
+    ]
 
 
-def test_run_receiver_periodic_stream_gives_identical_snapshots():
+def test_periodic_stream_gives_identical_snapshots():
     cfg = _small_sounder_config()
     rng = np.random.default_rng(4)
     frame = _random_stream(rng, cfg.frame_len)
-    stream = np.tile(frame, 3)
-    snaps = run_receiver(stream, cfg, 3)
+    snaps = _average_frames(np.tile(frame, 3), cfg, 3)
     assert [s.snapshot_index for s in snaps] == [0, 1, 2]
     assert np.array_equal(snaps[0].data, snaps[1].data)
     assert np.array_equal(snaps[0].data, snaps[2].data)
 
 
-def test_run_receiver_skipping_correctness():
-    # Samples outside the averaging windows never reach the output.
+def test_samples_outside_averaging_windows_never_reach_output():
+    # Only [discard_len, window_len) of each trigger period is averaged,
+    # which is what lets a campaign simulate the window alone.
     cfg = _small_sounder_config()
     rng = np.random.default_rng(5)
     stream = _random_stream(rng, 2 * cfg.frame_len)
-    reference = [s.data.copy() for s in run_receiver(stream, cfg, 2)]
+    reference = [s.data.copy() for s in _average_frames(stream, cfg, 2)]
     window = cfg.discard_len + cfg.avg_count * cfg.signal_len
     corrupted = stream.copy()
     for k in (0, 1):
@@ -190,16 +194,9 @@ def test_run_receiver_skipping_correctness():
             fp.from_components(12345 % 32768, -11111)
         corrupted[k * cfg.frame_len:k * cfg.frame_len + cfg.discard_len] = \
             fp.from_components(31000, 31000)
-    snaps = run_receiver(corrupted, cfg, 2)
+    snaps = _average_frames(corrupted, cfg, 2)
     for ref, snap in zip(reference, snaps):
         assert np.array_equal(ref, snap.data)
-
-
-def test_run_receiver_truncation_names_snapshot():
-    cfg = _small_sounder_config()
-    stream = fp.zeros(cfg.frame_len + 10)
-    with pytest.raises(TruncatedStreamError, match="snapshot 1"):
-        run_receiver(stream, cfg, 2)
 
 
 def test_snapshot_budget_matches_frame():

@@ -15,9 +15,10 @@ from soundersim.campaign import (
     storage_rate_bytes,
     write_capture,
 )
-from soundersim.channel import ChannelModel, Interferer, apply_channel
+from soundersim.channel import ChannelModel, Interferer, apply_channel, propagate_float
 from soundersim.config import SounderConfig
 from soundersim.errors import CaptureFormatError, ValidationError
+from soundersim.fixedpoint import quantize_clipped
 from soundersim.sync import PpsSchedule
 from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame
 
@@ -47,19 +48,32 @@ def _small_channel(**overrides):
     return ChannelModel(**params)
 
 
-def test_campaign_matches_linear_simulation_bit_for_bit():
-    # The campaign simulates each snapshot from one channel pass over a
-    # circularly extended frame.  Simulating the link the long way --
-    # the transmitter replaying the frame over a single continuous
-    # channel run -- must give identical snapshots, including the
-    # interferer phase carried across frame boundaries.
+_SMALL = _small_config()
+
+
+@pytest.mark.parametrize("offset", [
+    0,
+    _SMALL.frame_len - 5,  # the delay line reaches back across the frame start
+    _SMALL.frame_len - _SMALL.averager_config().window_len + 5,  # the window wraps
+])
+def test_campaign_matches_linear_simulation_bit_for_bit(offset):
+    # The campaign simulates each snapshot from one channel pass over
+    # the transmit samples its window depends on, gathered modulo the
+    # frame.  Simulating the link the long way -- the transmitter
+    # replaying the frame over a single continuous channel run -- must
+    # give identical snapshots, including the interferer phase carried
+    # across frame boundaries.  The tap at signal_len - 1 reaches
+    # furthest back across the frame boundary.
     cfg = _small_config()
-    model = _small_channel()
-    capture = run_campaign(cfg, model, created=CREATED)
+    model = _small_channel(taps=((5, 1.0), (30, 0.5j), (cfg.signal_len - 1, 0.25)))
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=offset)
+    capture = run_campaign(cfg, model, schedule, created=CREATED)
 
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    frame = build_tx_frame(wf, cfg)
-    long_stream = apply_channel(np.tile(frame, cfg.num_snapshots), model,
+    rx_frame = np.roll(build_tx_frame(wf, cfg), offset)
+    long_stream = apply_channel(np.tile(rx_frame, cfg.num_snapshots), model,
                                 start_index=0).samples
     acfg = cfg.averager_config()
     for k, snap in enumerate(capture.snapshots):
@@ -156,10 +170,25 @@ def test_schedule_config_mismatch_is_rejected():
 
 
 def test_saturation_is_counted_across_snapshots():
+    # clipped_components counts the propagated segment of each snapshot:
+    # its window plus max_delay samples either side.  The oracle is the
+    # long stream, led by one extra frame so snapshot 0 has a history.
     cfg = _small_config()
-    capture = run_campaign(cfg, _small_channel(taps=((0, 2.5),)),
-                           created=CREATED)
-    assert capture.clipped_components > 0
+    model = _small_channel(taps=((0, 2.5), (3, 0.2)))
+    capture = run_campaign(cfg, model, created=CREATED)
+
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    frame = build_tx_frame(wf, cfg)
+    received = propagate_float(np.tile(frame, cfg.num_snapshots + 1), model,
+                               start_index=-cfg.frame_len)
+    tail = model.max_delay
+    window_len = cfg.averager_config().window_len
+    expected = 0
+    for k in range(cfg.num_snapshots):
+        start = (k + 1) * cfg.frame_len - tail
+        expected += quantize_clipped(received[start:start + window_len + 2 * tail])[1]
+    assert expected > 0
+    assert capture.clipped_components == expected
 
 
 def test_reduction_and_storage_rate():
@@ -194,7 +223,7 @@ def test_capture_file_round_trip(tmp_path):
     back = read_capture(path)
     assert back.config == cfg
     assert back.channel_digest == capture.channel_digest
-    assert back.prng == "pcg64"
+    assert back.prng == "pcg64-window"
     assert back.seed == 21
     assert back.created == CREATED
     assert back.clipped_components == capture.clipped_components

@@ -63,7 +63,7 @@ def test_simulate_then_report(tmp_path, capsys):
     assert main(["report", str(capture_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["snapshots"] == 2
-    assert report["prng"] == "pcg64"
+    assert report["prng"] == "pcg64-window"
     assert report["seed"] == 77
     assert report["signal_len"] == 64
     assert report["reduction_factor"] == 512 / 64
