@@ -53,7 +53,7 @@ from .channel import (
     validate_config,
 )
 from .config import SounderConfig, config_from_dict, config_to_dict
-from .errors import CaptureFormatError, ValidationError
+from .errors import CaptureFormatError, ConfigurationError, ValidationError
 from .fixedpoint import SAMPLE_DTYPE
 from .sync import PpsSchedule, receiver_offset
 from .waveform import build_sounding_symbol, build_tx_frame, occupied_bins
@@ -129,12 +129,10 @@ def run_campaign(
             value the output is bit-reproducible.
 
     Raises:
-        ValidationError: the configuration cannot measure this channel.
+        ValidationError: the configuration cannot measure this channel
+            at the schedule's timing error.
         SchedulingError: the schedule is not flank-independent.
     """
-    report = validate_config(cfg, model)
-    if not report.passed:
-        raise ValidationError(f"configuration cannot measure channel:\n{report}")
     if schedule is None:
         schedule = PpsSchedule(
             rep_period_s=cfg.rep_period_s, sample_period_s=cfg.sample_period_s
@@ -143,6 +141,9 @@ def run_campaign(
           or schedule.sample_period_s != cfg.sample_period_s):
         raise ValidationError("schedule and config disagree on periods")
     offset = receiver_offset(schedule)
+    report = validate_config(cfg, model, offset)
+    if not report.passed:
+        raise ValidationError(f"configuration cannot measure channel:\n{report}")
 
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
@@ -222,7 +223,7 @@ def read_capture(path) -> Capture:
             header, or payload size mismatch.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = bytearray(fh.read())  # writable, so snapshot data is too
     if len(raw) < _PROLOGUE.size:
         raise CaptureFormatError(f"file too short for prologue: {len(raw)} bytes")
     magic, version, header_len = _PROLOGUE.unpack_from(raw)
@@ -237,7 +238,7 @@ def read_capture(path) -> Capture:
         raise CaptureFormatError("file too short for declared header length")
     try:
         header = json.loads(raw[_PROLOGUE.size : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
         raise CaptureFormatError(f"malformed capture header: {exc}") from exc
     try:
         cfg = config_from_dict(header["config"])
@@ -249,25 +250,22 @@ def read_capture(path) -> Capture:
             "created": header["created"],
             "clipped_components": int(header["clipped_components"]),
         }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CaptureFormatError(f"capture header missing fields: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+        raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
 
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes
-    payload = raw[header_end:]
+    payload = memoryview(raw)[header_end:]
     if len(payload) != expected:
         raise CaptureFormatError(
             f"payload is {len(payload)} bytes, expected {expected} "
             f"({count} snapshots x {record_bytes})"
         )
+    try:  # an empty capture can declare a signal_len too large to address
+        data = np.frombuffer(payload, SAMPLE_DTYPE).reshape(count, cfg.signal_len)
+    except ValueError as exc:
+        raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
     acfg = cfg.averager_config()
-    snapshots = []
-    for k in range(count):
-        chunk = payload[k * record_bytes : (k + 1) * record_bytes]
-        data = np.frombuffer(chunk, dtype=SAMPLE_DTYPE).copy()
-        snapshots.append(Snapshot(data=data, snapshot_index=k, config=acfg))
-    return Capture(
-        config=cfg,
-        snapshots=snapshots,
-        **meta,
-    )
+    snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
+                 for k, row in enumerate(data)]
+    return Capture(config=cfg, snapshots=snapshots, **meta)

@@ -208,22 +208,36 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def validate_config(cfg: "SounderConfig", model: ChannelModel) -> ValidationReport:
+def validate_config(
+    cfg: "SounderConfig", model: ChannelModel, offset: int = 0
+) -> ValidationReport:
     """Check that a sounder configuration can measure a channel.
 
-    Two conditions, both in whole samples:
+    ``offset`` is the schedule's receiver offset (see
+    :func:`soundersim.sync.receiver_offset`).  Read as a signed lag in
+    (-frame_len/2, frame_len/2], it moves the channel's first arrival.
+    Three conditions, all in whole samples:
 
     * symbol covers delay spread: ``signal_len`` must be strictly
       larger than the spread between first and last arrival, or echoes
       of adjacent symbols alias into the circular window;
     * discard covers settling: the first arrival plus one full symbol
       must fit inside ``discard_len``, so the averaging window starts
-      only after every tap is fed by the repeated symbol train.
+      only after every tap is fed by the repeated symbol train;
+    * train covers the window: the transmit train, delayed by the
+      first arrival, must last until the averaging window ends, or the
+      last averaged symbol reads the zero fill after the train.
     """
+    lag = offset % cfg.frame_len
+    if 2 * lag > cfg.frame_len:
+        lag -= cfg.frame_len
+    arrival = model.first_arrival + lag
     span = model.delay_span
     span_margin = cfg.signal_len - span
-    settle = model.first_arrival + cfg.signal_len
-    settle_margin = cfg.discard_len - settle
+    settle_margin = cfg.discard_len - (arrival + cfg.signal_len)
+    train = cfg.train_repetitions * cfg.signal_len
+    window_len = cfg.averager_config().window_len
+    train_margin = arrival + train - window_len
     checks = (
         CheckResult(
             name="symbol covers delay spread",
@@ -237,8 +251,14 @@ def validate_config(cfg: "SounderConfig", model: ChannelModel) -> ValidationRepo
             margin_samples=settle_margin,
             detail=(
                 f"discard_len {cfg.discard_len} vs first arrival "
-                f"{model.first_arrival} + signal_len {cfg.signal_len}"
+                f"{arrival} + signal_len {cfg.signal_len}"
             ),
+        ),
+        CheckResult(
+            name="transmit train covers the averaging window",
+            passed=train_margin >= 0,
+            margin_samples=train_margin,
+            detail=f"first arrival {arrival} + train {train} vs window_len {window_len}",
         ),
     )
     return ValidationReport(checks=checks)

@@ -33,6 +33,7 @@ from .channel import load_channel, validate_config
 from .config import load_config
 from .errors import SounderError
 from .estimator import (
+    FrequencyResponse,
     apply_calibration,
     build_calibration,
     estimate_response,
@@ -56,26 +57,28 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _emit(rows, fieldnames: list[str], out_path: str, fmt: str) -> None:
+def _emit(columns: dict[str, np.ndarray], out_path: str, fmt: str) -> None:
+    """Write equal-length columns as CSV with a header row, or JSON-lines."""
+    names = list(columns)
+    rows = zip(*(column.tolist() for column in columns.values()))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
+            writer = csv.writer(fh)
+            writer.writerow(names)
             writer.writerows(rows)
         else:  # json-lines
             for row in rows:
-                fh.write(json.dumps(row) + "\n")
+                fh.write(json.dumps(dict(zip(names, row))) + "\n")
 
 
-def _capture_responses(capture: Capture, calibration_path: str | None):
+def _responses(capture: Capture, calibration_path: str | None = None):
     cfg = capture.config
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    profile = load_calibration(calibration_path) if calibration_path else None
-    for snap in capture.snapshots:
-        resp = estimate_response(snap, wf)
-        if profile is not None:
-            resp = apply_calibration(resp, profile)
-        yield snap.snapshot_index, resp
+    responses = [estimate_response(snap, wf) for snap in capture.snapshots]
+    if calibration_path:
+        profile = load_calibration(calibration_path)
+        responses = [apply_calibration(resp, profile) for resp in responses]
+    return responses
 
 
 def _cmd_generate(args) -> int:
@@ -120,7 +123,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     capture = read_capture(args.capture)
-    responses = [resp for _, resp in _capture_responses(capture, None)]
+    responses = _responses(capture)
     profile = build_calibration(responses, threshold=args.threshold)
     save_calibration(args.out, profile)
     print(json.dumps({
@@ -134,45 +137,34 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     capture = read_capture(args.capture)
     cfg = capture.config
-    rows: list[dict] = []
+    responses = _responses(capture, args.calibration)
+    shape = (len(responses), cfg.signal_len)
+    block = FrequencyResponse(
+        bins=np.array([r.bins for r in responses]).reshape(shape),
+        occupied_mask=np.array([r.occupied_mask for r in responses]).reshape(shape),
+    )
     if args.kind == "response":
-        fieldnames = ["snapshot", "bin", "freq_offset_hz", "real", "imag"]
+        snapshot, k = np.nonzero(block.occupied_mask)
         freqs = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
-        for index, resp in _capture_responses(capture, args.calibration):
-            for k in np.flatnonzero(resp.occupied_mask):
-                rows.append({
-                    "snapshot": index,
-                    "bin": int(k),
-                    "freq_offset_hz": freqs[k],
-                    "real": resp.bins[k].real,
-                    "imag": resp.bins[k].imag,
-                })
-    elif args.kind == "cir":
-        fieldnames = ["snapshot", "delay_s", "real", "imag"]
-        for index, resp in _capture_responses(capture, args.calibration):
-            cir = to_cir(resp)
-            for n, tap in enumerate(cir.taps):
-                rows.append({
-                    "snapshot": index,
-                    "delay_s": n * cfg.sample_period_s,
-                    "real": tap.real,
-                    "imag": tap.imag,
-                })
-    else:  # pdp
-        # Exported power is relative to each snapshot's strongest tap;
-        # absolute reference levels are not calibrated.
-        fieldnames = ["snapshot", "delay_s", "power_rel_peak_db"]
-        for index, resp in _capture_responses(capture, args.calibration):
-            pdp = power_delay_profile(to_cir(resp), cfg.sample_period_s)
-            peak = pdp.power_db.max()
-            for delay, power in zip(pdp.delay_s, pdp.power_db):
-                rows.append({
-                    "snapshot": index,
-                    "delay_s": delay,
-                    "power_rel_peak_db": power - peak,
-                })
-    _emit(rows, fieldnames, args.out, args.format)
-    summary = {"rows": len(rows), "out": args.out, "kind": args.kind}
+        values = block.bins[snapshot, k]
+        columns = {"snapshot": snapshot, "bin": k, "freq_offset_hz": freqs[k],
+                   "real": values.real, "imag": values.imag}
+    else:
+        cir = to_cir(block)
+        snapshot, n = np.indices(shape).reshape(2, -1)
+        delay_s = n * cfg.sample_period_s
+        if args.kind == "cir":
+            columns = {"snapshot": snapshot, "delay_s": delay_s,
+                       "real": cir.taps.real.ravel(), "imag": cir.taps.imag.ravel()}
+        else:  # pdp
+            # Exported power is relative to each snapshot's strongest tap;
+            # absolute reference levels are not calibrated.
+            power_db = power_delay_profile(cir, cfg.sample_period_s).power_db
+            power_db -= power_db.max(axis=-1, keepdims=True)
+            columns = {"snapshot": snapshot, "delay_s": delay_s,
+                       "power_rel_peak_db": power_db.ravel()}
+    _emit(columns, args.out, args.format)
+    summary = {"rows": len(snapshot), "out": args.out, "kind": args.kind}
     if args.kind == "pdp":
         summary["normalization"] = "peak-relative"
     print(json.dumps(summary))

@@ -11,6 +11,7 @@ a 5 ms trigger period.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -114,15 +115,21 @@ def config_to_dict(cfg: SounderConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SounderConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`; integer fields must hold ints."""
     try:
         fields = dict(data)
         zc = fields.pop("zc", None)
         if zc is not None:
-            fields["zc"] = ZcParams(length=int(zc["length"]), root=int(zc["root"]))
-        return SounderConfig(**fields)
-    except (KeyError, TypeError) as exc:
+            fields["zc"] = ZcParams(length=zc["length"], root=zc["root"])
+        cfg = SounderConfig(**fields)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed sounder config: {exc}") from exc
+    for params in (cfg, cfg.zc):
+        for f in dataclasses.fields(params):
+            value = getattr(params, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+    return cfg
 
 
 def save_config(path, cfg: SounderConfig) -> None:

@@ -52,19 +52,19 @@ class FrequencyResponse:
     ``bins`` is full DFT length with zeros outside ``occupied_mask``.
     """
 
-    bins: np.ndarray  # complex128, length fft_size
-    occupied_mask: np.ndarray  # bool, length fft_size
+    bins: np.ndarray  # complex128, shape (..., fft_size)
+    occupied_mask: np.ndarray  # bool, shape (..., fft_size)
 
     @property
     def fft_size(self) -> int:
-        return len(self.bins)
+        return self.bins.shape[-1]
 
 
 @dataclass(frozen=True)
 class ImpulseResponse:
     """Band-limited channel impulse response (one tap per sample)."""
 
-    taps: np.ndarray  # complex128, length fft_size
+    taps: np.ndarray  # complex128, shape (..., fft_size)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class PowerDelayProfile:
     """Tap powers in dB over delay."""
 
     delay_s: np.ndarray  # float64, length fft_size
-    power_db: np.ndarray  # float64, length fft_size
+    power_db: np.ndarray  # float64, shape (..., fft_size)
 
 
 #: PDP floor for zero (or vanishing) taps, in dB.
@@ -125,20 +125,20 @@ def estimate_response(
 
 
 def to_cir(response: FrequencyResponse) -> ImpulseResponse:
-    """Inverse DFT of the response: the band-limited impulse response."""
+    """Inverse DFT over the last axis: the band-limited impulse response."""
     return ImpulseResponse(taps=np.fft.ifft(response.bins))
 
 
 def power_delay_profile(
     cir: ImpulseResponse, sample_period_s: float
 ) -> PowerDelayProfile:
-    """Tap power versus delay in dB, floored at -200 dB."""
+    """Tap power versus delay in dB, floored at -200 dB, row by row."""
     mag = np.abs(cir.taps)
     power_db = np.full(mag.shape, PDP_FLOOR_DB)
     nonzero = mag > 0
     np.log10(mag, out=power_db, where=nonzero)
     power_db[nonzero] = np.maximum(20.0 * power_db[nonzero], PDP_FLOOR_DB)
-    delay_s = np.arange(len(mag)) * sample_period_s
+    delay_s = np.arange(mag.shape[-1]) * sample_period_s
     return PowerDelayProfile(delay_s=delay_s, power_db=power_db)
 
 

@@ -97,13 +97,10 @@ def receiver_offset(schedule: PpsSchedule) -> int:
             the repetition period -- the alignment would then depend on
             which flank each device happened to catch.
     """
-    independent, per_second = check_flank_independence(schedule.rep_period_s)
+    independent, _ = check_flank_independence(schedule.rep_period_s)
     if not independent:
         raise SchedulingError(
             f"rep_period {schedule.rep_period_s} s does not divide 1 s: "
             "capture would depend on the PPS flanks the devices start on"
         )
-    frame_len = schedule.frame_len
-    samples_per_second = per_second * frame_len
-    flank_lag = schedule.rx_start_flank - schedule.tx_start_flank
-    return (flank_lag * samples_per_second + schedule.timing_error) % frame_len
+    return schedule.timing_error % schedule.frame_len

@@ -50,11 +50,15 @@ def _small_channel(**overrides):
 
 _SMALL = _small_config()
 
+#: A receiver offset at which the window starts in the frame's zero fill.
+_ZERO_FILL_OFFSET = _SMALL.frame_len - _SMALL.averager_config().window_len + 5
+
 
 @pytest.mark.parametrize("offset", [
     0,
     _SMALL.frame_len - 5,  # the delay line reaches back across the frame start
-    _SMALL.frame_len - _SMALL.averager_config().window_len + 5,  # the window wraps
+    _SMALL.discard_len - _SMALL.signal_len - 5,  # latest valid arrival; the window wraps
+    _ZERO_FILL_OFFSET,
 ])
 def test_campaign_matches_linear_simulation_bit_for_bit(offset):
     # The campaign simulates each snapshot from one channel pass over
@@ -63,12 +67,17 @@ def test_campaign_matches_linear_simulation_bit_for_bit(offset):
     # replaying the frame over a single continuous channel run -- must
     # give identical snapshots, including the interferer phase carried
     # across frame boundaries.  The tap at signal_len - 1 reaches
-    # furthest back across the frame boundary.
+    # furthest back across the frame boundary.  The first arrival is 5,
+    # so _ZERO_FILL_OFFSET puts it past the discard and is rejected.
     cfg = _small_config()
     model = _small_channel(taps=((5, 1.0), (30, 0.5j), (cfg.signal_len - 1, 0.25)))
     schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
                            sample_period_s=cfg.sample_period_s,
                            timing_error=offset)
+    if offset == _ZERO_FILL_OFFSET:
+        with pytest.raises(ValidationError, match="discard covers first arrival"):
+            run_campaign(cfg, model, schedule, created=CREATED)
+        return
     capture = run_campaign(cfg, model, schedule, created=CREATED)
 
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
@@ -112,6 +121,20 @@ def test_timing_error_shifts_the_received_frame():
     frame = build_tx_frame(wf, cfg)
     expected = select_and_average(np.roll(frame, shift), cfg.averager_config())
     assert np.array_equal(capture.snapshots[0].data, expected.data)
+
+
+@pytest.mark.parametrize("timing_error", [-1, -5, 2_432_421])
+def test_early_arrival_that_outruns_the_train_is_rejected(timing_error):
+    # The default train is exactly discard + avg_count symbols long, so
+    # a signal arriving early (2,432,421 is 67,579 samples early modulo
+    # the frame) makes the last averaged symbol read the zero fill.
+    cfg = SounderConfig()
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    with pytest.raises(ValidationError, match="FAIL transmit train covers"):
+        run_campaign(cfg, ChannelModel(taps=((0, 1.0),)), schedule,
+                     created=CREATED)
 
 
 def test_start_flanks_do_not_change_the_capture(tmp_path):
@@ -231,6 +254,7 @@ def test_capture_file_round_trip(tmp_path):
     for a, b in zip(capture.snapshots, back.snapshots):
         assert np.array_equal(a.data, b.data)
         assert a.snapshot_index == b.snapshot_index
+        assert b.data.flags.writeable
 
 
 def test_capture_bytes_are_reproducible(tmp_path):

@@ -155,6 +155,24 @@ def test_validator_rejects_late_first_arrival():
     assert failed[0].margin_samples == -1
 
 
+def test_validator_reads_offset_as_signed_lag():
+    cfg = SounderConfig()
+    model = ChannelModel(taps=((3, 1.0),))
+    early = cfg.frame_len - 5  # equivalent to -5
+    # offset: (discard margin, train margin); half a frame (1,250,000
+    # samples) is still a delay, one sample more is an advance.
+    cases = {0: (1021, 3), 1021: (0, 1024), 1022: (-1, 1025),
+             early: (1026, -2), -5: (1026, -2), -3: (1024, 0),
+             1_250_000: (-1_248_979, 1_250_003),
+             1_250_001: (1_251_020, -1_249_996)}
+    for offset, (settle, train) in cases.items():
+        report = validate_config(cfg, model, offset)
+        margins = {c.name: c.margin_samples for c in report.checks}
+        assert margins["discard covers first arrival"] == settle, offset
+        assert margins["transmit train covers the averaging window"] == train, offset
+        assert report.passed == (settle >= 0 and train >= 0), offset
+
+
 def test_model_validation():
     with pytest.raises(ConfigurationError):
         ChannelModel(taps=())

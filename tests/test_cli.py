@@ -2,8 +2,10 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
+import pytest
 
 from soundersim.channel import ChannelModel, save_channel
 from soundersim.cli import main
@@ -178,6 +180,33 @@ def test_corrupt_capture_exits_5_with_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "format"
     assert "magic" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("signal_len", [3, 64.0])
+@pytest.mark.parametrize("command", ["report", "estimate"])
+def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
+                                                signal_len):
+    # An odd signal_len breaks a config constraint; a float one used to
+    # pass and crash the estimator with a TypeError.
+    _, config_path, channel_path = _write_inputs(tmp_path)
+    path = tmp_path / "run.capture"
+    main(["simulate", "--config", config_path, "--channel", channel_path,
+          "--out", str(path)])
+    capsys.readouterr()
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 6)
+    header = json.loads(raw[10:10 + header_len])
+    header["config"]["signal_len"] = signal_len
+    encoded = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
+                     + raw[10 + header_len:])
+    args = [command, str(path)]
+    if command == "estimate":
+        args += ["--out", str(tmp_path / "pdp.csv")]
+    assert main(args) == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["category"] == "format"
+    assert "signal_len" in err["error"]["message"]
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
