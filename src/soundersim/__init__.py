@@ -67,7 +67,6 @@ from .fixedpoint import (
     from_components,
     quantize,
     quantize_clipped,
-    shift_right,
     to_float,
 )
 from .sync import PpsSchedule, check_flank_independence, receiver_offset

@@ -98,10 +98,11 @@ class Snapshot:
     """One accumulated symbol as produced by the averager.
 
     ``data`` holds the raw shifted sums (int16 I/Q); rescale by
-    ``2**shift_bits / avg_count`` to recover signal amplitude.
+    ``2**shift_bits / avg_count`` to recover signal amplitude.  The
+    estimator also takes an ``(N, signal_len)`` block, one per row.
     """
 
-    data: np.ndarray  # SAMPLE_DTYPE, length config.signal_len
+    data: np.ndarray  # SAMPLE_DTYPE, shape (signal_len,) or (N, signal_len)
     snapshot_index: int
     config: AveragerConfig
 

@@ -55,10 +55,12 @@ class Interferer:
             raise ConfigurationError(
                 f"interferer freq must be in (-0.5, 0.5] cycles/sample, got {self.freq}"
             )
-        if self.amplitude < 0:
+        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ConfigurationError(
-                f"interferer amplitude must be >= 0, got {self.amplitude}"
+                f"interferer amplitude must be finite and >= 0, got {self.amplitude}"
             )
+        if not np.isfinite(self.phase):
+            raise ConfigurationError(f"interferer phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,10 @@ class ChannelModel:
             raise ConfigurationError(f"tap delays must be >= 0, got {delays}")
         if len(set(delays)) != len(delays):
             raise ConfigurationError(f"tap delays must be unique, got {delays}")
-        if self.noise_std < 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not np.all(np.isfinite([g for _, g in taps])):
+            raise ConfigurationError(f"tap gains must be finite, got {taps}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigurationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an unsigned 64-bit int, got {self.seed}")
 
@@ -300,7 +304,7 @@ def channel_from_dict(data: dict) -> ChannelModel:
             interferers=interferers,
             seed=int(data.get("seed", 0)),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed channel model: {exc}") from exc
 
 

@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from .averager import Snapshot
 from .campaign import (
     Capture,
     read_capture,
@@ -33,7 +34,6 @@ from .channel import load_channel, validate_config
 from .config import load_config
 from .errors import SounderError
 from .estimator import (
-    FrequencyResponse,
     apply_calibration,
     build_calibration,
     estimate_response,
@@ -42,6 +42,7 @@ from .estimator import (
     save_calibration,
     to_cir,
 )
+from .fixedpoint import SAMPLE_DTYPE
 from .sync import PpsSchedule
 from .waveform import build_sounding_symbol, build_tx_frame
 
@@ -71,14 +72,17 @@ def _emit(columns: dict[str, np.ndarray], out_path: str, fmt: str) -> None:
                 fh.write(json.dumps(dict(zip(names, row))) + "\n")
 
 
-def _responses(capture: Capture, calibration_path: str | None = None):
+def _response_block(capture: Capture, calibration_path: str | None = None):
+    """The capture's responses as one ``(N, signal_len)`` block, one per row."""
     cfg = capture.config
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    responses = [estimate_response(snap, wf) for snap in capture.snapshots]
+    data = np.array([snap.data for snap in capture.snapshots],
+                    dtype=SAMPLE_DTYPE).reshape(-1, cfg.signal_len)
+    block = estimate_response(
+        Snapshot(data=data, snapshot_index=0, config=cfg.averager_config()), wf)
     if calibration_path:
-        profile = load_calibration(calibration_path)
-        responses = [apply_calibration(resp, profile) for resp in responses]
-    return responses
+        block = apply_calibration(block, load_calibration(calibration_path))
+    return block
 
 
 def _cmd_generate(args) -> int:
@@ -122,12 +126,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    capture = read_capture(args.capture)
-    responses = _responses(capture)
-    profile = build_calibration(responses, threshold=args.threshold)
+    block = _response_block(read_capture(args.capture))
+    profile = build_calibration(block, threshold=args.threshold)
     save_calibration(args.out, profile)
     print(json.dumps({
-        "snapshots": len(responses),
+        "snapshots": len(block.bins),
         "occupied_bins": int(np.count_nonzero(profile.reference.occupied_mask)),
         "threshold": args.threshold,
     }))
@@ -137,14 +140,10 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     capture = read_capture(args.capture)
     cfg = capture.config
-    responses = _responses(capture, args.calibration)
-    shape = (len(responses), cfg.signal_len)
-    block = FrequencyResponse(
-        bins=np.array([r.bins for r in responses]).reshape(shape),
-        occupied_mask=np.array([r.occupied_mask for r in responses]).reshape(shape),
-    )
+    block = _response_block(capture, args.calibration)
+    shape = block.bins.shape
     if args.kind == "response":
-        snapshot, k = np.nonzero(block.occupied_mask)
+        snapshot, k = np.nonzero(np.broadcast_to(block.occupied_mask, shape))
         freqs = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
         values = block.bins[snapshot, k]
         columns = {"snapshot": snapshot, "bin": k, "freq_offset_hz": freqs[k],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .averager import AveragerConfig
@@ -115,7 +116,7 @@ def config_to_dict(cfg: SounderConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SounderConfig:
-    """Inverse of :func:`config_to_dict`; integer fields must hold ints."""
+    """Inverse of :func:`config_to_dict`; numeric fields are type-checked."""
     try:
         fields = dict(data)
         zc = fields.pop("zc", None)
@@ -129,6 +130,9 @@ def config_from_dict(data: dict) -> SounderConfig:
             value = getattr(params, f.name)
             if f.type == "int" and type(value) is not int:
                 raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (type(value) in (int, float)
+                                          and -math.inf < value < math.inf):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
     return cfg
 
 

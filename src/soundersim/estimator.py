@@ -49,11 +49,12 @@ DEGENERATE_BIN_TOL = 1e-12
 class FrequencyResponse:
     """Channel frequency response on the occupied subcarriers.
 
-    ``bins`` is full DFT length with zeros outside ``occupied_mask``.
+    ``bins`` is full DFT length with zeros outside ``occupied_mask``;
+    every row of an ``(N, fft_size)`` block shares the one mask.
     """
 
     bins: np.ndarray  # complex128, shape (..., fft_size)
-    occupied_mask: np.ndarray  # bool, shape (..., fft_size)
+    occupied_mask: np.ndarray  # bool, shape (fft_size,)
 
     @property
     def fft_size(self) -> int:
@@ -94,7 +95,10 @@ def rescale_snapshot(snapshot: Snapshot) -> np.ndarray:
 def estimate_response(
     snapshot: Snapshot, wf: SoundingWaveform
 ) -> FrequencyResponse:
-    """Estimate the frequency response seen by one snapshot.
+    """Estimate the frequency response seen by a snapshot, row by row.
+
+    An ``(N, signal_len)`` block of snapshots gives an ``(N, signal_len)``
+    response.
 
     Args:
         snapshot: averaged symbol from the receiver.
@@ -118,9 +122,9 @@ def estimate_response(
             f"weakest occupied bin magnitude {weakest:.3e} is below "
             f"{DEGENERATE_BIN_TOL:.0e}; cannot invert waveform"
         )
-    spectrum = np.fft.fft(rescale_snapshot(snapshot))
-    bins = np.zeros(wf.fft_size, dtype=np.complex128)
-    bins[mask] = spectrum[mask] / occupied
+    bins = np.fft.fft(rescale_snapshot(snapshot))
+    bins[..., mask] /= occupied
+    bins[..., ~mask] = 0.0
     return FrequencyResponse(bins=bins, occupied_mask=mask.copy())
 
 
@@ -230,29 +234,25 @@ class CalibrationProfile:
 
 
 def build_calibration(
-    responses, threshold: float = 1e-3
+    response: FrequencyResponse, threshold: float = 1e-3
 ) -> CalibrationProfile:
     """Average back-to-back responses into a calibration profile.
 
-    All responses must share one occupied mask; their complex mean
-    becomes the reference.
+    ``response`` is one response or an ``(N, fft_size)`` block; the
+    complex mean of its rows becomes the reference.
     """
-    responses = list(responses)
-    if not responses:
+    bins = response.bins.reshape(-1, response.fft_size)
+    if not len(bins):
         raise ConfigurationError("need at least one response to calibrate")
-    mask = responses[0].occupied_mask
-    for r in responses[1:]:
-        if not np.array_equal(r.occupied_mask, mask):
-            raise ConfigurationError("calibration responses have differing masks")
-    mean_bins = np.mean([r.bins for r in responses], axis=0)
-    reference = FrequencyResponse(bins=mean_bins, occupied_mask=mask.copy())
+    reference = FrequencyResponse(bins=bins.mean(axis=0),
+                                  occupied_mask=response.occupied_mask.copy())
     return CalibrationProfile(reference=reference, threshold=threshold)
 
 
 def apply_calibration(
     response: FrequencyResponse, profile: CalibrationProfile
 ) -> FrequencyResponse:
-    """Divide a measured response by the back-to-back reference.
+    """Divide a measured response, row by row, by the back-to-back reference.
 
     Occupied bins where the reference is weaker than the profile
     threshold are zeroed and removed from the output mask (and
@@ -270,7 +270,7 @@ def apply_calibration(
         _log.warning("calibration zeroed %d weak bins", n_weak)
     good = mask & ~weak
     bins = np.zeros_like(response.bins)
-    bins[good] = response.bins[good] / ref[good]
+    bins[..., good] = response.bins[..., good] / ref[good]
     return FrequencyResponse(bins=bins, occupied_mask=good)
 
 

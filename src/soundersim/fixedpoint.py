@@ -104,17 +104,3 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
     out["i"] = np.clip(i_raw, INT_MIN, INT_MAX).astype(np.int16)
     out["q"] = np.clip(q_raw, INT_MIN, INT_MAX).astype(np.int16)
     return out, clipped
-
-
-def shift_right(samples: np.ndarray, bits: int) -> np.ndarray:
-    """Arithmetic right shift of both components by ``bits``.
-
-    Floor division by 2**bits: sign is preserved and negative values
-    round toward -inf, exactly as a signed shift register does.
-    """
-    if not 0 <= bits <= 15:
-        raise ConfigurationError(f"shift amount must be in [0, 15], got {bits}")
-    out = np.empty(np.shape(samples), dtype=SAMPLE_DTYPE)
-    out["i"] = samples["i"] >> bits
-    out["q"] = samples["q"] >> bits
-    return out

@@ -149,6 +149,8 @@ def test_config_validation():
         AveragerConfig(signal_len=8, discard_len=0, avg_count=3, shift_bits=1)
     with pytest.raises(ConfigurationError):
         AveragerConfig(signal_len=8, discard_len=0, avg_count=1, shift_bits=16)
+    with pytest.raises(ConfigurationError):
+        AveragerConfig(signal_len=8, discard_len=0, avg_count=1, shift_bits=-1)
 
 
 def _small_sounder_config():

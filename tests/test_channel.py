@@ -188,6 +188,17 @@ def test_model_validation():
         Interferer(freq=0.6, amplitude=0.1)
     with pytest.raises(ConfigurationError):
         Interferer(freq=0.1, amplitude=-0.1)
+    # Non-finite values would reach the int16 cast as NaN or skip the noise.
+    nan, inf = float("nan"), float("inf")
+    for gain in (nan, complex(0, inf)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ChannelModel(taps=((0, gain), (3, 0.5)))
+    for noise_std in (nan, inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ChannelModel(taps=((0, 1.0),), noise_std=noise_std)
+    for bad in ({"amplitude": nan}, {"amplitude": inf}, {"phase": nan}, {"phase": -inf}):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Interferer(**{"freq": 0.1, "amplitude": 0.1, **bad})
 
 
 def test_delay_properties():

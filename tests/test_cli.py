@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from soundersim import cli
 from soundersim.channel import ChannelModel, save_channel
 from soundersim.cli import main
 from soundersim.config import SounderConfig, save_config
@@ -142,7 +143,7 @@ def test_estimate_cir_json_lines(tmp_path, capsys):
     assert int(np.argmax(np.abs(taps))) == 3
 
 
-def test_calibrated_response_workflow(tmp_path, capsys):
+def test_calibrated_response_workflow(tmp_path, capsys, monkeypatch):
     # Calibrating against a capture and estimating the same capture with
     # that profile must give a flat unit response.
     _, config_path, channel_path = _write_inputs(tmp_path,
@@ -150,8 +151,16 @@ def test_calibrated_response_workflow(tmp_path, capsys):
     capture_path = tmp_path / "b2b.capture"
     main(["simulate", "--config", config_path, "--channel", channel_path,
           "--out", str(capture_path)])
+    # Each command estimates (and calibrates) the capture as one block.
+    calls = []
+    for name in ("estimate_response", "apply_calibration"):
+        def counted(*args, _name=name, _real=getattr(cli, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cli, name, counted)
     cal_path = tmp_path / "cal.json"
     assert main(["calibrate", str(capture_path), "--out", str(cal_path)]) == 0
+    assert calls == ["estimate_response"]
     info = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert info["occupied_bins"] == 51
     assert info["threshold"] == 1e-3
@@ -160,6 +169,7 @@ def test_calibrated_response_workflow(tmp_path, capsys):
     assert main(["estimate", str(capture_path), "--kind", "response",
                  "--calibration", str(cal_path),
                  "--format", "json-lines", "--out", str(out)]) == 0
+    assert calls == ["estimate_response", "estimate_response", "apply_calibration"]
     capsys.readouterr()
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 2 * 51
@@ -182,12 +192,20 @@ def test_corrupt_capture_exits_5_with_json_error(tmp_path, capsys):
     assert "magic" in err["error"]["message"]
 
 
-@pytest.mark.parametrize("signal_len", [3, 64.0])
+@pytest.mark.parametrize("fields", [
+    pytest.param({"signal_len": 3}, id="3"),
+    pytest.param({"signal_len": 64.0}, id="64.0"),
+    pytest.param({"tx_power_dbm": "abc", "center_freq_hz": True}, id="str-and-bool"),
+    pytest.param({"center_freq_hz": float("nan")}, id="nan"),
+    pytest.param({"tx_power_dbm": float("inf")}, id="inf"),
+    pytest.param({"backoff": True}, id="bool-backoff"),
+])
 @pytest.mark.parametrize("command", ["report", "estimate"])
 def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
-                                                signal_len):
+                                                fields):
     # An odd signal_len breaks a config constraint; a float one used to
-    # pass and crash the estimator with a TypeError.
+    # pass and crash the estimator with a TypeError.  The float fields
+    # used to take strings, bools and non-finite values.
     _, config_path, channel_path = _write_inputs(tmp_path)
     path = tmp_path / "run.capture"
     main(["simulate", "--config", config_path, "--channel", channel_path,
@@ -196,7 +214,7 @@ def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", raw, 6)
     header = json.loads(raw[10:10 + header_len])
-    header["config"]["signal_len"] = signal_len
+    header["config"].update(fields)
     encoded = json.dumps(header).encode()
     path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
                      + raw[10 + header_len:])
@@ -206,7 +224,7 @@ def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
     assert main(args) == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "format"
-    assert "signal_len" in err["error"]["message"]
+    assert any(name in err["error"]["message"] for name in fields)
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -223,6 +241,24 @@ def test_invalid_config_exits_3(tmp_path, capsys):
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "validation"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"taps": [{"delay": "x", "gain": [1, 0]}]}', id="str-delay"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "noise_std": "abc"}',
+                 id="str-noise"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "seed": Infinity}',
+                 id="inf-seed"),
+])
+def test_malformed_channel_file_exits_3(tmp_path, capsys, text):
+    _, config_path, _ = _write_inputs(tmp_path)
+    bad = tmp_path / "bad_channel.json"
+    bad.write_text(text)
+    for command in (["validate"], ["simulate", "--out", str(tmp_path / "x.capture")]):
+        assert main([*command, "--config", config_path, "--channel", str(bad)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["category"] == "validation"
+        assert "malformed channel model" in err["error"]["message"]
 
 
 def test_simulate_rejects_infeasible_pairing(tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_dict_round_trip():
     assert config_from_dict(data) == cfg
 
 
+@pytest.mark.parametrize("fields", [
+    {"tx_power_dbm": "abc", "center_freq_hz": True},
+    {"center_freq_hz": float("nan")},
+    {"tx_power_dbm": float("inf")},
+    {"backoff": True},
+])
+def test_numeric_fields_are_type_checked(fields):
+    data = config_to_dict(SounderConfig())
+    data.update(fields)
+    with pytest.raises(ConfigurationError):
+        config_from_dict(data)
+
+
 def test_file_round_trip(tmp_path):
     cfg = SounderConfig(num_snapshots=4)
     path = tmp_path / "config.json"

@@ -5,7 +5,8 @@ import pytest
 
 from soundersim import fixedpoint as fp
 from soundersim.averager import AveragerConfig, Snapshot, select_and_average
-from soundersim.channel import ChannelModel, apply_channel
+from soundersim.campaign import run_campaign
+from soundersim.channel import ChannelModel, Interferer, apply_channel
 from soundersim.config import SounderConfig
 from soundersim.errors import ConfigurationError, DegenerateWaveformError
 from soundersim.estimator import (
@@ -42,6 +43,39 @@ def _measure(wf, model, acfg=PASSTHROUGH):
     stream = result.samples[start:start + acfg.window_len]
     snap = select_and_average(stream, acfg)
     return estimate_response(snap, wf)
+
+
+def _block_snapshot(capture):
+    """The capture's snapshots as one ``(N, signal_len)`` snapshot."""
+    return Snapshot(data=np.stack([snap.data for snap in capture.snapshots]),
+                    snapshot_index=0, config=capture.config.averager_config())
+
+
+def test_block_estimate_matches_each_snapshot_bit_for_bit():
+    cfg = SounderConfig(
+        signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+        rep_period_s=1e-3, sample_period_s=1.0 / 512_000,
+        zc=ZcParams(51, 2), num_snapshots=5,
+    )
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    tone = Interferer(freq=0.013, amplitude=0.1, phase=0.4)
+    measured = run_campaign(cfg, ChannelModel(
+        taps=((5, 0.9), (30, 0.5j)), noise_std=0.05, interferers=(tone,), seed=3))
+    cable = run_campaign(cfg, ChannelModel(taps=((0, 1.0),), noise_std=0.01, seed=4))
+
+    block = estimate_response(_block_snapshot(measured), wf)
+    assert block.bins.shape == (5, 64)
+    assert np.array_equal(block.occupied_mask, wf.occupied_mask)
+    rows = [estimate_response(snap, wf) for snap in measured.snapshots]
+    assert len({row.bins.tobytes() for row in rows}) == 5  # noise differs per row
+    for got, row in zip(block.bins, rows):
+        assert np.array_equal(got, row.bins)
+
+    profile = build_calibration(estimate_response(_block_snapshot(cable), wf))
+    calibrated = apply_calibration(block, profile)
+    assert calibrated.occupied_mask.shape == (64,)
+    for got, row in zip(calibrated.bins, rows):
+        assert np.array_equal(got, apply_calibration(row, profile).bins)
 
 
 def test_zero_snapshot_gives_zero_response():
@@ -242,7 +276,7 @@ def test_estimate_rejects_degenerate_waveform():
 
 def test_self_calibration_is_unity():
     resp = _measure(DEFAULT_WF, ChannelModel(taps=((0, 1.0),)))
-    profile = build_calibration([resp])
+    profile = build_calibration(resp)
     cal = apply_calibration(resp, profile)
     assert np.allclose(cal.bins[cal.occupied_mask], 1.0, rtol=0, atol=1e-14)
     assert np.array_equal(cal.occupied_mask, resp.occupied_mask)
@@ -253,7 +287,7 @@ def test_calibration_removes_chain_ripple():
     # through measurement must cancel its ripple from later estimates.
     chain = ((0, 0.8), (3, 0.15), (6, 0.1j))
     reference = _measure(DEFAULT_WF, ChannelModel(taps=chain))
-    profile = build_calibration([reference])
+    profile = build_calibration(reference)
 
     # Measurement = chain convolved with a single propagation path.
     combined = tuple((d + 10, g * 0.9) for d, g in chain)
@@ -274,9 +308,7 @@ def test_calibration_zeroes_weak_reference_bins():
     mask = np.zeros(16, dtype=bool)
     mask[[0, 1, 2]] = True
     bins[[0, 1, 2]] = [1.0, 1e-6, 2.0]
-    profile = build_calibration(
-        [FrequencyResponse(bins=bins, occupied_mask=mask)]
-    )
+    profile = build_calibration(FrequencyResponse(bins=bins, occupied_mask=mask))
     measured = FrequencyResponse(
         bins=np.where(mask, 4.0 + 0j, 0.0), occupied_mask=mask
     )
@@ -292,26 +324,24 @@ def test_calibration_mask_mismatch_is_rejected():
     other_mask = resp.occupied_mask.copy()
     other_mask[5] = not other_mask[5]
     other = FrequencyResponse(bins=resp.bins.copy(), occupied_mask=other_mask)
-    profile = build_calibration([resp])
+    profile = build_calibration(resp)
     with pytest.raises(ConfigurationError, match="masks"):
         apply_calibration(other, profile)
-    with pytest.raises(ConfigurationError, match="masks"):
-        build_calibration([resp, other])
     with pytest.raises(ConfigurationError, match="at least one"):
-        build_calibration([])
+        build_calibration(FrequencyResponse(bins=np.zeros((0, 1024), complex),
+                                            occupied_mask=resp.occupied_mask))
 
 
 def test_calibration_averages_references():
     mask = np.ones(4, dtype=bool)
-    a = FrequencyResponse(bins=np.full(4, 2.0 + 0j), occupied_mask=mask)
-    b = FrequencyResponse(bins=np.full(4, 4.0 + 0j), occupied_mask=mask)
-    profile = build_calibration([a, b])
+    rows = np.array([np.full(4, 2.0 + 0j), np.full(4, 4.0 + 0j)])
+    profile = build_calibration(FrequencyResponse(bins=rows, occupied_mask=mask))
     assert np.all(profile.reference.bins == 3.0)
 
 
 def test_calibration_file_round_trip(tmp_path):
     resp = _measure(DEFAULT_WF, ChannelModel(taps=((0, 0.7), (2, 0.2j))))
-    profile = build_calibration([resp], threshold=2e-3)
+    profile = build_calibration(resp, threshold=2e-3)
     path = tmp_path / "cal.json"
     save_calibration(path, profile)
     back = load_calibration(path)
@@ -336,8 +366,7 @@ def test_calibration_dict_round_trip():
     mask = np.zeros(8, dtype=bool)
     mask[[7, 0, 1]] = True
     bins[[7, 0, 1]] = [1 + 1j, 2.0, -0.5j]
-    profile = build_calibration([FrequencyResponse(bins=bins,
-                                                   occupied_mask=mask)])
+    profile = build_calibration(FrequencyResponse(bins=bins, occupied_mask=mask))
     back = calibration_from_dict(calibration_to_dict(profile))
     assert np.array_equal(back.reference.bins, profile.reference.bins)
     assert np.array_equal(back.reference.occupied_mask, mask)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soundersim import fixedpoint as fp
+from soundersim.averager import AveragerConfig, select_and_average
 from soundersim.errors import ConfigurationError
 
 
@@ -53,36 +54,33 @@ def test_quantize_to_float_identity_exhaustive():
     assert np.array_equal(back, samples)
 
 
+def _shift(samples, bits):
+    """The averager's pre-sum shift alone: one symbol, no discard."""
+    cfg = AveragerConfig(signal_len=len(samples), discard_len=0, avg_count=1,
+                         shift_bits=bits)
+    return select_and_average(samples, cfg).data
+
+
 def test_shift_right_examples():
-    s = fp.shift_right(fp.from_components(64, -64), 6)
-    assert s["i"] == 1 and s["q"] == -1
-    s = fp.shift_right(fp.from_components(-1, 0), 6)
-    assert s["i"] == -1 and s["q"] == 0  # arithmetic shift floors toward -inf
-    s = fp.shift_right(fp.from_components(32767, -32768), 6)
-    assert s["i"] == 511 and s["q"] == -512
+    s = _shift(fp.from_components([64, -1, 32767, 63], [-64, 0, -32768, -63]), 6)
+    assert s["i"].tolist() == [1, -1, 511, 0]
+    assert s["q"].tolist() == [-1, 0, -512, -1]  # arithmetic shift floors toward -inf
 
 
 def test_shift_right_is_floor_division_exhaustive():
     codes = np.arange(-32768, 32768, dtype=np.int64)
-    samples = fp.from_components(codes, np.zeros_like(codes))
+    samples = fp.from_components(codes, codes[::-1])
     for bits in (0, 1, 5, 6, 15):
-        shifted = fp.shift_right(samples, bits)
+        shifted = _shift(samples, bits)
         oracle = codes // 2**bits  # Python floor division
         assert np.array_equal(shifted["i"].astype(np.int64), oracle), bits
-
-
-def test_shift_right_rejects_bad_counts():
-    s = fp.from_components(1, 1)
-    with pytest.raises(ConfigurationError):
-        fp.shift_right(s, -1)
-    with pytest.raises(ConfigurationError):
-        fp.shift_right(s, 16)
+        assert np.array_equal(shifted["q"].astype(np.int64), oracle[::-1]), bits
 
 
 def test_sum_of_shifted_never_overflows():
     # Worst case: 64 samples of -32768 shifted by 6 sum to exactly -32768.
     worst = fp.from_components([-32768] * 64, [-32768] * 64)
-    total = fp.shift_right(worst, 6)["i"].astype(np.int64).sum()
+    total = (worst["i"] >> 6).astype(np.int64).sum()
     assert total == -32768
     rng = np.random.default_rng(20)
     for _ in range(50):
