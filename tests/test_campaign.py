@@ -1,5 +1,6 @@
 """Campaign orchestration and the capture file format."""
 
+import hashlib
 import json
 import struct
 
@@ -90,6 +91,49 @@ def test_campaign_matches_linear_simulation_bit_for_bit(offset):
                              k * cfg.frame_len + acfg.window_len]
         expected = select_and_average(window, acfg, snapshot_index=k)
         assert np.array_equal(snap.data, expected.data), f"snapshot {k}"
+
+
+_PIN_TAPS = {
+    "small": ((5, 1.5), (30, 0.5j), (63, 0.25)),  # hot enough to clip
+    "default": ((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)),
+}
+_PIN_TONES = {"small": 0.013, "default": 0.0371}
+_PIN_TIMING = {"small": _SMALL.frame_len - 5, "default": 7}
+
+
+@pytest.mark.parametrize("size, kind, digest, clipped", [
+    ("small", "noisy", "ace0abcd02537d7a9d914601663db97bf86239968d1a3fe9ecef3657a52a8a93", 4),
+    ("small", "noiseless", "89c88f814fb7e2e6f9ad525d3251b4d63bc0ffad2201936418497079ee6be453", 3),
+    ("small", "cable", "171d421d55e29561cb92802078cc0619333f4a6cf20663de2db3f75060b8516b", 0),
+    ("default", "noisy", "36d748c686c3425746ecef840c60bfc00f11044cd2d77fea7e1cbe621453640b", 0),
+    ("default", "noiseless", "c09819d0a9cf7408383702676a53bc3765b48f7cea50c3247d4ce0820d698463", 0),
+    ("default", "cable", "8739c73c30b6e573f6d75279997108dccaf075dbe920782ea4cade32c39c83ff", 0),
+])
+def test_campaign_payload_sha256_pinned(tmp_path, size, kind, digest, clipped):
+    # The payload bytes of noisy, noiseless and cable campaigns, taken
+    # from the straightforward per-snapshot simulation: any refactor of
+    # run_campaign must reproduce them.  The multipath cases carry an
+    # interferer and a non-zero timing error.
+    cfg = _small_config() if size == "small" else SounderConfig(num_snapshots=2)
+    tone = (Interferer(freq=_PIN_TONES[size], amplitude=0.1, phase=0.4),)
+    if kind == "cable":
+        model, timing_error = ChannelModel(taps=((0, 1.0),), seed=21), 0
+    else:
+        noise_std = 0.05 if kind == "noisy" else 0.0
+        model = ChannelModel(taps=_PIN_TAPS[size], noise_std=noise_std,
+                             interferers=tone, seed=21)
+        timing_error = _PIN_TIMING[size]
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    capture = run_campaign(cfg, model, schedule, created=CREATED)
+    path = tmp_path / "pinned.capture"
+    write_capture(path, capture)
+    raw = path.read_bytes()
+    header_end = 10 + struct.unpack_from("<I", raw, 6)[0]
+    assert len(raw) - header_end == capture.payload_bytes
+    assert hashlib.sha256(raw[header_end:]).hexdigest() == digest
+    assert capture.clipped_components == clipped
 
 
 def test_noiseless_tone_free_snapshots_are_identical():
