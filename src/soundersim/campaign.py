@@ -1,25 +1,33 @@
 """Campaign orchestration and the capture file format.
 
 :func:`run_campaign` wires the whole simulator together: it validates
-the sounder/channel pairing, builds the waveform and transmit frame,
-derives the receiver alignment from the trigger schedule, pushes every
-trigger window through the channel and the select-and-average stage,
-and returns the snapshots plus provenance as a :class:`Capture`.
+the sounder/channel pairing, builds the waveform, derives the receiver
+alignment from the trigger schedule, pushes every trigger window through
+the channel and the select-and-average stage, and returns the snapshots
+plus provenance as a :class:`Capture`.
 
 The transmitter replays one frame forever, so the steady-state link is
 periodic with the frame length, and the averager reads only the first
 ``window_len`` samples after each trigger.  So each snapshot propagates
 just the transmit samples its window depends on: the window plus the
-``max_delay`` samples before it, gathered modulo the frame length (either
-may wrap across the frame end), which is exact for every sample of the
-window.  The channel output keeps its ``max_delay`` tail, so
-``window_len + 2 * max_delay`` samples are propagated, and the header's
-saturation count covers exactly those.  Only the noise and interferer
-phases differ between snapshots; noise for snapshot k comes from an
-independent PCG64 stream spawned from the channel seed with key (k,),
-drawn over the propagated samples (the ``"pcg64-window"`` scheme named
-in the header), so any snapshot can be reproduced without generating
-its predecessors.
+``max_delay`` samples before it, at frame positions taken modulo the
+frame length (either may wrap across the frame end), which is exact for
+every sample of the window.  That segment is gathered straight from the
+quantized symbol's repetition train; the frame itself is never built.
+The channel output keeps its ``max_delay`` tail, so ``window_len + 2 *
+max_delay`` samples are propagated, and the header's saturation count
+covers exactly those.
+
+Only the noise and interferer phases differ between snapshots, so the
+tap convolution of the segment is computed once per campaign and each
+snapshot adds its own interference and noise to a copy of it.  Noise
+for snapshot k comes from an independent PCG64 stream spawned from the
+channel seed with key (k,), drawn over the propagated samples (the
+``"pcg64-window"`` scheme named in the header), so any snapshot can be
+reproduced without generating its predecessors.  A static channel (no
+noise, no interferer) gives every snapshot the same samples, so it is
+simulated, quantized and averaged once and its saturation count is
+multiplied by the snapshot count.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -48,15 +56,17 @@ import numpy as np
 from .averager import Snapshot, select_and_average
 from .channel import (
     ChannelModel,
+    add_interference_and_noise,
     apply_channel,
     channel_digest,
+    convolve_taps,
     validate_config,
 )
 from .config import SounderConfig, config_from_dict, config_to_dict
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
-from .fixedpoint import SAMPLE_DTYPE
+from .fixedpoint import SAMPLE_DTYPE, quantize_clipped
 from .sync import PpsSchedule, receiver_offset
-from .waveform import build_sounding_symbol, build_tx_frame, occupied_bins
+from .waveform import build_sounding_symbol, occupied_bins, tx_frame_samples
 
 MAGIC = b"CSND"
 FORMAT_VERSION = 1
@@ -146,7 +156,6 @@ def run_campaign(
         raise ValidationError(f"configuration cannot measure channel:\n{report}")
 
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    frame = build_tx_frame(wf, cfg)
     frame_len = cfg.frame_len
     acfg = cfg.averager_config()
 
@@ -154,18 +163,31 @@ def run_campaign(
     # needs only its own transmit samples and the max_delay before them.
     tail = model.max_delay
     window_len = acfg.window_len
-    segment = frame[(np.arange(-tail, window_len) - offset) % frame_len]
+    segment = tx_frame_samples(wf, cfg, -tail - offset, tail + window_len)
 
-    snapshots: list[Snapshot] = []
-    clipped = 0
-    for k in range(cfg.num_snapshots):
-        rng = snapshot_rng(model.seed, k)
-        result = apply_channel(
-            segment, model, start_index=k * frame_len - tail, rng=rng
-        )
-        stream = result.samples[tail : tail + window_len]
-        clipped += result.clipped_components
-        snapshots.append(select_and_average(stream, acfg, snapshot_index=k))
+    if model.noise_std == 0 and not model.interferers:
+        # A static channel adds nothing that depends on the snapshot
+        # index: every snapshot is snapshot 0, each in its own row.
+        result = apply_channel(segment, model, start_index=-tail)
+        first = select_and_average(result.samples[tail : tail + window_len], acfg)
+        block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
+        snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
+                     for k, row in enumerate(block)]
+        clipped = cfg.num_snapshots * result.clipped_components
+    else:
+        taps_out = convolve_taps(segment, model)  # the same for every snapshot
+        received = np.empty_like(taps_out)
+        snapshots, clipped = [], 0
+        for k in range(cfg.num_snapshots):
+            np.copyto(received, taps_out)
+            add_interference_and_noise(
+                received, model, start_index=k * frame_len - tail,
+                rng=snapshot_rng(model.seed, k),
+            )
+            samples, count = quantize_clipped(received)
+            clipped += count
+            stream = samples[tail : tail + window_len]
+            snapshots.append(select_and_average(stream, acfg, snapshot_index=k))
 
     return Capture(
         config=cfg,

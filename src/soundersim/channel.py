@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,9 +32,15 @@ import numpy as np
 
 from . import fixedpoint
 from .errors import ConfigurationError
+from .fixedpoint import BLOCK_LEN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .config import SounderConfig
+
+
+def _is_integer(value) -> bool:
+    """True for integers; floats would be truncated and bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,15 @@ class ChannelModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(_is_integer(d) for d, _ in self.taps):
+            raise ConfigurationError(
+                f"tap delays must be integers, got {[d for d, _ in self.taps]}")
+        if not _is_integer(self.seed):
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         taps = tuple((int(d), complex(g)) for d, g in self.taps)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        object.__setattr__(self, "seed", int(self.seed))
         if not taps:
             raise ConfigurationError("channel must have at least one tap")
         delays = [d for d, _ in taps]
@@ -124,6 +137,75 @@ class ChannelResult:
     clipped_components: int
 
 
+def convolve_taps(tx: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """The tapped delay line's output: the part that depends only on ``tx``.
+
+    Each output sample sums its echoes in tap order.
+
+    Returns:
+        complex128 array of ``len(tx) + model.max_delay`` samples: the
+        full convolution tail is kept so no echo is dropped.
+    """
+    out = np.zeros(len(tx) + model.max_delay, dtype=np.complex128)
+    echo = np.empty(min(len(tx), BLOCK_LEN), dtype=np.complex128)
+    for delay, gain in model.taps:
+        for lo in range(0, len(tx), BLOCK_LEN):
+            tx_float = fixedpoint.to_float(tx[lo : lo + BLOCK_LEN])
+            # Not in place: numpy's in-place complex product may take a
+            # vector loop that fuses the multiply-add and rounds apart.
+            product = np.multiply(gain, tx_float, out=echo[: len(tx_float)])
+            out[delay + lo : delay + lo + len(tx_float)] += product
+    return out
+
+
+def add_interference_and_noise(
+    out: np.ndarray,
+    model: ChannelModel,
+    start_index: int = 0,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Add the interferer tones, then the noise, to ``out`` in place.
+
+    Args:
+        out: channel output (complex128).
+        model: channel description.
+        start_index: absolute index of ``out[0]`` in the stream;
+            interferer phases are evaluated against absolute indices so
+            chunked processing is seamless.
+        rng: noise generator; defaults to a fresh PCG64 seeded with
+            ``model.seed``.  All real parts are drawn before the
+            imaginary parts.
+
+    Returns:
+        ``out``.
+    """
+    starts = range(0, len(out), BLOCK_LEN)
+    for tone in model.interferers:
+        for lo in starts:
+            block = out[lo : lo + BLOCK_LEN]
+            index = np.arange(start_index + lo, start_index + lo + len(block),
+                              dtype=np.float64)
+            # The fractional cycle before the 2*pi multiply keeps the
+            # phase accurate at large absolute indices; x - floor(x)
+            # rounds the same exact value as np.mod(x, 1.0), once.
+            cycles = tone.freq * index
+            phase = 2.0 * np.pi * (cycles - np.floor(cycles)) + tone.phase
+            block += tone.amplitude * np.exp(1j * phase)
+
+    if model.noise_std > 0:
+        if rng is None:
+            rng = np.random.default_rng(model.seed)
+        draw = np.empty(min(len(out), BLOCK_LEN))
+        for part in (out.real, out.imag):
+            for lo in starts:
+                block = part[lo : lo + BLOCK_LEN]
+                noise = draw[: len(block)]
+                rng.standard_normal(out=noise)
+                noise *= model.noise_std
+                block += noise
+    return out
+
+
 def propagate_float(
     tx: np.ndarray,
     model: ChannelModel,
@@ -132,39 +214,12 @@ def propagate_float(
 ) -> np.ndarray:
     """Float-domain channel output, before requantization.
 
-    Args:
-        tx: transmit samples (structured int16).
-        model: channel description.
-        start_index: absolute index of ``tx[0]`` in the transmit
-            stream; interferer phases are evaluated against absolute
-            indices so chunked processing is seamless.
-        rng: noise generator; defaults to a fresh PCG64 seeded with
-            ``model.seed``.
-
-    Returns:
-        complex128 array of ``len(tx) + model.max_delay`` samples: the
-        full convolution tail is kept so no echo is dropped.
+    :func:`convolve_taps` followed by :func:`add_interference_and_noise`;
+    ``start_index`` is the absolute index of ``tx[0]`` in the transmit
+    stream.  Returns ``len(tx) + model.max_delay`` complex128 samples.
     """
-    tx_float = fixedpoint.to_float(tx)
-    out_len = len(tx) + model.max_delay
-    out = np.zeros(out_len, dtype=np.complex128)
-    for delay, gain in model.taps:
-        out[delay : delay + len(tx)] += gain * tx_float
-
-    if model.interferers:
-        index = np.arange(start_index, start_index + out_len, dtype=np.float64)
-        for tone in model.interferers:
-            # mod 1 before the 2*pi multiply keeps phase accurate at
-            # large absolute indices.
-            phase = 2.0 * np.pi * np.mod(tone.freq * index, 1.0) + tone.phase
-            out += tone.amplitude * np.exp(1j * phase)
-
-    if model.noise_std > 0:
-        if rng is None:
-            rng = np.random.default_rng(model.seed)
-        out += model.noise_std * rng.standard_normal(out_len)
-        out += 1j * model.noise_std * rng.standard_normal(out_len)
-    return out
+    out = convolve_taps(tx, model)
+    return add_interference_and_noise(out, model, start_index=start_index, rng=rng)
 
 
 def apply_channel(
@@ -287,7 +342,7 @@ def channel_from_dict(data: dict) -> ChannelModel:
     """Inverse of :func:`channel_to_dict`."""
     try:
         taps = tuple(
-            (int(t["delay"]), complex(t["gain"][0], t["gain"][1]))
+            (t["delay"], complex(t["gain"][0], t["gain"][1]))
             for t in data["taps"]
         )
         interferers = tuple(
@@ -302,9 +357,10 @@ def channel_from_dict(data: dict) -> ChannelModel:
             taps=taps,
             noise_std=float(data.get("noise_std", 0.0)),
             interferers=interferers,
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError,
+            ConfigurationError) as exc:
         raise ConfigurationError(f"malformed channel model: {exc}") from exc
 
 

@@ -166,17 +166,19 @@ def read_tap_gains(
     leakage and returns the underlying gains.
 
     Args:
-        cir: band-limited impulse response.
+        cir: band-limited impulse response, ``(fft_size,)`` or an
+            ``(N, fft_size)`` block.
         occupied_mask: occupied-bin mask of the sounding waveform.
         delays: integer sample delays at which taps are present.
 
     Returns:
-        complex gain per delay, same order as ``delays``.
+        complex gain per delay, same order as ``delays``; ``(N,
+        len(delays))`` for a block, one row per impulse response.
     """
     delays = np.asarray(delays, dtype=np.int64)
     if delays.size == 0:
-        return np.zeros(0, dtype=np.complex128)
-    size = len(cir.taps)
+        return np.zeros(cir.taps.shape[:-1] + (0,), dtype=np.complex128)
+    size = cir.taps.shape[-1]
     if np.any(delays < 0) or np.any(delays >= size):
         raise ConfigurationError(f"delays must be in [0, {size}), got {delays}")
     if len(np.unique(delays)) != delays.size:
@@ -184,7 +186,8 @@ def read_tap_gains(
     kernel = band_limit_kernel(occupied_mask)
     matrix = kernel[np.mod(delays[:, None] - delays[None, :], size)]
     try:
-        return np.linalg.solve(matrix, cir.taps[delays])
+        # One right-hand side per row, so a block row solves as its own 1-D CIR.
+        return np.linalg.solve(matrix, cir.taps[..., delays, np.newaxis])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             f"band-limit kernel is singular at delays {delays}: {exc}"

@@ -36,6 +36,11 @@ FULL_SCALE = 32768.0
 #: Value of one least significant bit in float units.
 LSB = 1.0 / FULL_SCALE
 
+#: Samples per block where a long run of samples is processed piecewise.
+#: Every sample gets the same arithmetic however the run is blocked; small
+#: blocks let the temporaries be reused instead of paged in afresh.
+BLOCK_LEN = 8192
+
 
 def zeros(count: int) -> np.ndarray:
     """Return ``count`` all-zero complex samples."""
@@ -63,18 +68,16 @@ def from_components(i, q) -> np.ndarray:
     return out
 
 
-def to_complex(samples: np.ndarray) -> np.ndarray:
-    """Return the integer sample values as complex128 (no rescaling)."""
-    return samples["i"].astype(np.float64) + 1j * samples["q"].astype(np.float64)
-
-
 def to_float(samples: np.ndarray) -> np.ndarray:
     """Map samples to complex floats with full scale at 1.0.
 
     Exact: every representable sample has an exact float image, so
     ``quantize(to_float(s)) == s`` for all s.
     """
-    return to_complex(samples) * LSB
+    out = np.empty(samples.shape, dtype=np.complex128)
+    np.multiply(samples["i"], LSB, out=out.real)
+    np.multiply(samples["q"], LSB, out=out.imag)
+    return out
 
 
 def quantize(values) -> np.ndarray:
@@ -96,11 +99,20 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
         components (not samples) that hit a rail.
     """
     values = np.asarray(values, dtype=np.complex128)
-    i_raw = np.rint(values.real * FULL_SCALE)
-    q_raw = np.rint(values.imag * FULL_SCALE)
-    clipped = int(np.count_nonzero(i_raw < INT_MIN) + np.count_nonzero(i_raw > INT_MAX)
-                  + np.count_nonzero(q_raw < INT_MIN) + np.count_nonzero(q_raw > INT_MAX))
     out = np.empty(values.shape, dtype=SAMPLE_DTYPE)
-    out["i"] = np.clip(i_raw, INT_MIN, INT_MAX).astype(np.int16)
-    out["q"] = np.clip(q_raw, INT_MIN, INT_MAX).astype(np.int16)
+    # Both sides as interleaved components (I, Q, I, Q, ...): one pass
+    # per block over contiguous memory handles I and Q alike.
+    parts = np.ravel(values).view(np.float64)
+    words = out.reshape(-1).view("<i2")
+    raw = np.empty(min(parts.size, 2 * BLOCK_LEN))
+    clipped = 0
+    for lo in range(0, parts.size, 2 * BLOCK_LEN):
+        block = parts[lo : lo + 2 * BLOCK_LEN]
+        scaled = raw[: len(block)]
+        np.multiply(block, FULL_SCALE, out=scaled)
+        np.rint(scaled, out=scaled)
+        clipped += int(np.count_nonzero(scaled < INT_MIN))
+        clipped += int(np.count_nonzero(scaled > INT_MAX))
+        np.clip(scaled, INT_MIN, INT_MAX, out=scaled)
+        words[lo : lo + 2 * BLOCK_LEN] = scaled
     return out, clipped

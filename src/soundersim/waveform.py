@@ -160,15 +160,8 @@ def train_repetitions(cfg: "SounderConfig") -> int:
     return -(-need // cfg.signal_len)
 
 
-def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
-    """Quantize the symbol and assemble one transmit frame.
-
-    The frame is ``cfg.frame_len`` samples: a train of identical
-    quantized symbols long enough to feed the receiver's discard and
-    averaging windows, followed by zeros until the next trigger.  The
-    transmitter replays this frame every repetition period, so sample
-    ``n`` of the link is ``frame[n % frame_len]``.
-    """
+def _train(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
+    """The quantized symbol repeated over the train; checks it fits the frame."""
     if wf.fft_size != cfg.signal_len:
         raise ConfigurationError(
             f"waveform length {wf.fft_size} does not match signal_len {cfg.signal_len}"
@@ -180,7 +173,43 @@ def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
             f"repetition train of {reps} x {cfg.signal_len} samples "
             f"({train}) does not fit in a {cfg.frame_len}-sample frame"
         )
-    symbol = fixedpoint.quantize(wf.time_signal)
+    return np.tile(fixedpoint.quantize(wf.time_signal), reps)
+
+
+def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
+    """Quantize the symbol and assemble one transmit frame.
+
+    The frame is ``cfg.frame_len`` samples: a train of identical
+    quantized symbols long enough to feed the receiver's discard and
+    averaging windows, followed by zeros until the next trigger.  The
+    transmitter replays this frame every repetition period, so sample
+    ``n`` of the link is ``frame[n % frame_len]``.
+    """
+    train = _train(wf, cfg)
     frame = fixedpoint.zeros(cfg.frame_len)
-    frame[:train] = np.tile(symbol, reps)
+    frame[: len(train)] = train
     return frame
+
+
+def tx_frame_samples(
+    wf: SoundingWaveform, cfg: "SounderConfig", start: int, count: int
+) -> np.ndarray:
+    """Samples ``start`` to ``start + count - 1`` of the transmitted link.
+
+    The transmitter replays :func:`build_tx_frame` every frame, so link
+    sample ``n`` is frame sample ``m = n mod frame_len``, which is
+    ``symbol[m mod signal_len]`` inside the repetition train and zero
+    after it.  The samples are copied from the train wherever it
+    overlaps, and the frame is never built.
+    """
+    # Whole records copy as 32-bit words; numpy copies structured
+    # records field by field, many times slower.
+    train = _train(wf, cfg).view(np.uint32)
+    out = np.zeros(count, dtype=np.uint32)
+    frame_len = cfg.frame_len
+    for frame_start in range(start - start % frame_len, start + count, frame_len):
+        lo = max(frame_start, start)
+        hi = min(frame_start + len(train), start + count)
+        if lo < hi:
+            out[lo - start : hi - start] = train[lo - frame_start : hi - frame_start]
+    return out.view(fixedpoint.SAMPLE_DTYPE)

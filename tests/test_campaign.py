@@ -3,10 +3,12 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from soundersim import campaign, fixedpoint
 from soundersim.averager import select_and_average
 from soundersim.campaign import (
     read_capture,
@@ -143,6 +145,78 @@ def test_noiseless_tone_free_snapshots_are_identical():
     assert len(capture.snapshots) == 3
     assert np.array_equal(capture.snapshots[0].data, capture.snapshots[1].data)
     assert np.array_equal(capture.snapshots[0].data, capture.snapshots[2].data)
+
+
+def _per_snapshot_reference(cfg, model):
+    """Each snapshot simulated on its own from the full transmit frame."""
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    frame = build_tx_frame(wf, cfg)
+    tail = model.max_delay
+    window_len = cfg.averager_config().window_len
+    segment = frame[np.arange(-tail, window_len) % cfg.frame_len]
+    data, clipped = [], 0
+    for k in range(cfg.num_snapshots):
+        result = apply_channel(segment, model, start_index=k * cfg.frame_len - tail,
+                               rng=snapshot_rng(model.seed, k))
+        clipped += result.clipped_components
+        stream = result.samples[tail:tail + window_len]
+        data.append(select_and_average(stream, cfg.averager_config()).data)
+    return data, clipped
+
+
+def test_static_channel_is_simulated_once(monkeypatch):
+    # No noise and no interferer: nothing depends on the snapshot index,
+    # so one snapshot is quantized and averaged and the rest copy it.
+    cfg = _small_config(num_snapshots=4)
+    model = ChannelModel(taps=((0, 2.5), (3, 0.2)))  # clips
+    calls = {"quantize": 0, "average": 0}
+
+    def counted(name, fn):
+        def wrapper(values, *args, **kwargs):
+            calls[name] += np.size(values) > cfg.signal_len  # not the symbol
+            return fn(values, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fixedpoint, "quantize_clipped",
+                        counted("quantize", fixedpoint.quantize_clipped))
+    monkeypatch.setattr(campaign, "quantize_clipped",
+                        counted("quantize", campaign.quantize_clipped))
+    monkeypatch.setattr(campaign, "select_and_average",
+                        counted("average", campaign.select_and_average))
+    capture = run_campaign(cfg, model, created=CREATED)
+    assert calls == {"quantize": 1, "average": 1}
+    monkeypatch.undo()
+
+    data, clipped = _per_snapshot_reference(cfg, model)
+    assert clipped > 0
+    assert capture.clipped_components == clipped
+    assert [snap.snapshot_index for snap in capture.snapshots] == [0, 1, 2, 3]
+    for snap, expected in zip(capture.snapshots, data):
+        assert np.array_equal(snap.data, expected)
+    # Each snapshot owns its samples: writing one leaves the others alone.
+    capture.snapshots[0].data["i"] += 1
+    for snap in capture.snapshots[1:]:
+        assert np.array_equal(snap.data, data[0])
+
+    empty = run_campaign(_small_config(num_snapshots=0), model, created=CREATED)
+    assert empty.snapshots == [] and empty.clipped_components == 0
+
+
+@pytest.mark.parametrize("model", [
+    ChannelModel(taps=((0, 1.0),)),
+    ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02,
+                 interferers=(Interferer(freq=0.0371, amplitude=0.05),), seed=3),
+], ids=["cable", "noisy"])
+def test_default_campaign_never_builds_the_frame(model):
+    # The default transmit frame is 2.5 M samples of 4 bytes, 10 MB on
+    # its own; a campaign needs only the window's segment of it.
+    tracemalloc.start()
+    try:
+        run_campaign(SounderConfig(num_snapshots=2), model, created=CREATED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_asynchronous_tone_makes_snapshots_differ():

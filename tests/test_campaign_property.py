@@ -1,0 +1,217 @@
+"""Property tests: the campaign and the channel against straightforward oracles.
+
+``run_campaign`` simulates a segment gathered from the quantized symbol,
+convolves it once per campaign and simulates a static channel once.  The
+oracles here do none of that: they build the full transmit frame and
+propagate every snapshot on its own, with the channel arithmetic written
+out in its plain one-pass form.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
+
+from soundersim.averager import select_and_average
+from soundersim.campaign import run_campaign, snapshot_rng
+from soundersim.channel import (
+    ChannelModel,
+    Interferer,
+    apply_channel,
+    propagate_float,
+    validate_config,
+)
+from soundersim.config import SounderConfig
+from soundersim.fixedpoint import SAMPLE_DTYPE, quantize_clipped
+from soundersim.sync import PpsSchedule, receiver_offset
+from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame
+
+CREATED = "2026-03-01T12:00:00+00:00"
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def _plain_propagate(tx, model, start_index, rng):
+    """The channel in one pass over the whole output, without blocks."""
+    tx_float = (tx["i"].astype(np.float64) + 1j * tx["q"].astype(np.float64)) * 2.0**-15
+    out = np.zeros(len(tx) + model.max_delay, dtype=np.complex128)
+    for delay, gain in model.taps:
+        out[delay:delay + len(tx)] += gain * tx_float
+    index = np.arange(start_index, start_index + len(out), dtype=np.float64)
+    for tone in model.interferers:
+        phase = 2.0 * np.pi * np.mod(tone.freq * index, 1.0) + tone.phase
+        out += tone.amplitude * np.exp(1j * phase)
+    if model.noise_std > 0:
+        out += model.noise_std * rng.standard_normal(len(out))
+        out += 1j * model.noise_std * rng.standard_normal(len(out))
+    return out
+
+
+def _plain_quantize(values):
+    """Quantization in one pass over the whole array, without blocks."""
+    i_raw = np.rint(values.real * 32768.0)
+    q_raw = np.rint(values.imag * 32768.0)
+    clipped = int(np.count_nonzero((i_raw < -32768) | (i_raw > 32767))
+                  + np.count_nonzero((q_raw < -32768) | (q_raw > 32767)))
+    out = np.empty(values.shape, dtype=SAMPLE_DTYPE)
+    out["i"] = np.clip(i_raw, -32768, 32767).astype(np.int16)
+    out["q"] = np.clip(q_raw, -32768, 32767).astype(np.int16)
+    return out, clipped
+
+
+def _per_snapshot_oracle(cfg, model, offset):
+    """Every snapshot from the full frame, propagated on its own."""
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    frame = build_tx_frame(wf, cfg)
+    acfg = cfg.averager_config()
+    tail = model.max_delay
+    segment = frame[(np.arange(-tail, acfg.window_len) - offset) % cfg.frame_len]
+    data, clipped = [], 0
+    for k in range(cfg.num_snapshots):
+        received = _plain_propagate(segment, model, k * cfg.frame_len - tail,
+                                    snapshot_rng(model.seed, k))
+        samples, count = _plain_quantize(received)
+        clipped += count
+        stream = samples[tail:tail + acfg.window_len]
+        data.append(select_and_average(stream, acfg, snapshot_index=k).data)
+    return data, clipped
+
+
+def _long_stream_oracle(cfg, model, offset):
+    """Snapshots cut from one continuous channel run over replayed frames."""
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    rx_frame = np.roll(build_tx_frame(wf, cfg), offset)
+    stream = apply_channel(np.tile(rx_frame, cfg.num_snapshots), model).samples
+    acfg = cfg.averager_config()
+    return [select_and_average(stream[k * cfg.frame_len:
+                                      k * cfg.frame_len + acfg.window_len], acfg).data
+            for k in range(cfg.num_snapshots)]
+
+
+gains = st.builds(
+    complex,
+    st.floats(-1.5, 1.5, allow_nan=False),
+    st.floats(-1.5, 1.5, allow_nan=False),
+)
+tones = st.builds(
+    Interferer,
+    freq=st.floats(-0.5, 0.5, exclude_min=True),
+    amplitude=st.floats(0.0, 0.3),
+    phase=st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def campaigns(draw):
+    """A small sounder, a channel it can measure and a valid timing error."""
+    signal_len = draw(st.sampled_from([16, 32, 64]))
+    zc_len = draw(st.integers(3, signal_len))
+    root = draw(st.sampled_from([r for r in range(1, zc_len) if math.gcd(r, zc_len) == 1]))
+    avg_count = draw(st.integers(1, 4))
+    shift_bits = draw(st.integers((avg_count - 1).bit_length(), 3))
+    first = draw(st.integers(0, 8))
+    delays = draw(st.lists(st.integers(first, first + signal_len - 1),
+                           min_size=0, max_size=2, unique=True))
+    delays = [first] + [d for d in delays if d != first]
+    discard_len = 2 * ((first + signal_len + 1) // 2 + draw(st.integers(0, 16)))
+    window_len = discard_len + avg_count * signal_len
+    train = -(-window_len // signal_len) * signal_len
+    frame_len = train + draw(st.integers(0, 64))
+    cfg = SounderConfig(
+        signal_len=signal_len, discard_len=discard_len, avg_count=avg_count,
+        shift_bits=shift_bits, rep_period_s=1e-3, sample_period_s=1e-3 / frame_len,
+        backoff=draw(st.floats(0.2, 1.0)), zc=ZcParams(zc_len, root),
+        num_snapshots=draw(st.integers(1, 3)),
+    )
+    model = ChannelModel(
+        taps=tuple(zip(delays, draw(st.lists(gains, min_size=len(delays),
+                                             max_size=len(delays))))),
+        noise_std=draw(st.sampled_from([0.0, 0.0, 0.01, 0.1])),
+        interferers=tuple(draw(st.lists(tones, max_size=2))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    lag = draw(st.integers(window_len - train - first, discard_len - signal_len - first))
+    timing_error = lag + frame_len * draw(st.integers(-2, 2))
+    return cfg, model, timing_error
+
+
+@SETTINGS
+@given(campaigns())
+def test_campaign_matches_oracles_bit_for_bit(case):
+    cfg, model, timing_error = case
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    offset = receiver_offset(schedule)
+    # A lag past half a frame reads as an early arrival, which may fail.
+    assume(validate_config(cfg, model, offset).passed)
+    capture = run_campaign(cfg, model, schedule, created=CREATED)
+
+    data, clipped = _per_snapshot_oracle(cfg, model, offset)
+    assert capture.clipped_components == clipped
+    assert len(capture.snapshots) == cfg.num_snapshots
+    for snap, expected in zip(capture.snapshots, data):
+        assert np.array_equal(snap.data, expected)
+    if model.noise_std == 0:  # the long stream draws its noise differently
+        long_stream = _long_stream_oracle(cfg, model, offset)
+        for snap, expected in zip(capture.snapshots, long_stream):
+            assert np.array_equal(snap.data, expected)
+
+
+@SETTINGS
+@given(
+    length=st.integers(1, 20_000),  # crosses several 8192-sample blocks
+    start_index=st.integers(-(2**40), 2**40),
+    taps=st.lists(st.tuples(st.integers(0, 40), gains), min_size=1, max_size=3,
+                  unique_by=lambda tap: tap[0]),
+    interferers=st.lists(tones, max_size=2),
+    noise_std=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**32),
+)
+def test_propagate_float_matches_one_pass_bit_for_bit(length, start_index, taps,
+                                                      interferers, noise_std, seed):
+    rng = np.random.default_rng(seed)
+    tx = np.empty(length, dtype=SAMPLE_DTYPE)
+    tx["i"] = rng.integers(-32768, 32768, length)
+    tx["q"] = rng.integers(-32768, 32768, length)
+    model = ChannelModel(taps=tuple(taps), noise_std=noise_std,
+                         interferers=tuple(interferers), seed=seed)
+    got = propagate_float(tx, model, start_index, rng=snapshot_rng(seed, 1))
+    expected = _plain_propagate(tx, model, start_index, snapshot_rng(seed, 1))
+    assert np.array_equal(got, expected)
+
+
+@SETTINGS
+@given(
+    shape=st.sampled_from([(), (1,), (5,), (3, 7), (20_000,), (3, 8193)]),
+    strided=st.booleans(),
+    scale=st.sampled_from([0.5, 1.0, 1.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_quantize_clipped_matches_one_pass_bit_for_bit(shape, strided, scale, seed):
+    rng = np.random.default_rng(seed)
+    values = scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    if strided and values.ndim:
+        values = values[..., ::2]  # not contiguous
+    samples, clipped = quantize_clipped(values)
+    expected, expected_clipped = _plain_quantize(values)
+    assert samples.shape == values.shape
+    assert np.array_equal(samples, expected)
+    assert clipped == expected_clipped
+
+
+#: Floats next to integers and to zero, where a fractional part is
+#: computed from the fewest significant bits.
+_NEAR_INTEGERS = st.integers(-(2**60), 2**60).flatmap(
+    lambda n: st.sampled_from([np.nextafter(float(n), -np.inf), float(n),
+                               np.nextafter(float(n), np.inf)]))
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _NEAR_INTEGERS,
+                min_size=1, max_size=64))
+@example([-0.0, 0.0, -5e-324, 5e-324, -1e-300, -0.5, 2.0**53 - 0.5, -(2.0**52) - 0.5,
+          -1.7976931348623157e308, 1.7976931348623157e308])
+def test_fractional_part_is_np_mod_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    frac = x - np.floor(x)
+    assert np.array_equal(frac.view(np.uint64), np.mod(x, 1.0).view(np.uint64))

@@ -199,6 +199,15 @@ def test_model_validation():
     for bad in ({"amplitude": nan}, {"amplitude": inf}, {"phase": nan}, {"phase": -inf}):
         with pytest.raises(ConfigurationError, match="finite"):
             Interferer(**{"freq": 0.1, "amplitude": 0.1, **bad})
+    # int() would truncate a fractional delay or seed to another channel.
+    for taps in (((2.9, 1.0),), ((0, 1.0), (3.0, 0.5)), ((True, 1.0),)):
+        with pytest.raises(ConfigurationError, match="tap delays must be integers"):
+            ChannelModel(taps=taps)
+    for seed in (7.8, 7.0, True, "7"):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            ChannelModel(taps=((0, 1.0),), seed=seed)
+    assert ChannelModel(taps=((np.int64(3), 1.0),), seed=np.uint64(5)) == \
+        ChannelModel(taps=((3, 1.0),), seed=5)
 
 
 def test_delay_properties():

@@ -249,6 +249,12 @@ def test_invalid_config_exits_3(tmp_path, capsys):
                  id="str-noise"),
     pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "seed": Infinity}',
                  id="inf-seed"),
+    pytest.param('{"taps": [{"delay": 2.9, "gain": [1, 0]}]}', id="float-delay"),
+    pytest.param('{"taps": [{"delay": true, "gain": [1, 0]}]}', id="bool-delay"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "seed": 7.8}',
+                 id="float-seed"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "seed": true}',
+                 id="bool-seed"),
 ])
 def test_malformed_channel_file_exits_3(tmp_path, capsys, text):
     _, config_path, _ = _write_inputs(tmp_path)

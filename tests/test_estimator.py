@@ -241,6 +241,28 @@ def test_read_tap_gains_random_round_trip():
         assert np.allclose(got, gains, atol=1e-8)
 
 
+def test_read_tap_gains_reads_each_row_of_a_block():
+    # A 3 x 64 block used to be sized by its row count, so delay 5 was
+    # rejected as outside [0, 3).
+    cfg = SounderConfig(
+        signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+        rep_period_s=1e-3, sample_period_s=1.0 / 512_000,
+        zc=ZcParams(51, 2), num_snapshots=3,
+    )
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    measured = run_campaign(cfg, ChannelModel(
+        taps=((0, 0.9), (5, 0.5j), (30, -0.25)), noise_std=0.05, seed=3))
+    delays = [0, 5, 30]
+    block = to_cir(estimate_response(_block_snapshot(measured), wf))
+    gains = read_tap_gains(block, wf.occupied_mask, delays)
+    assert gains.shape == (3, 3)
+    assert len({row.tobytes() for row in gains}) == 3  # noise differs per row
+    for got, snap in zip(gains, measured.snapshots):
+        row = read_tap_gains(to_cir(estimate_response(snap, wf)), wf.occupied_mask, delays)
+        assert np.array_equal(got, row)
+    assert read_tap_gains(block, wf.occupied_mask, []).shape == (3, 0)
+
+
 def test_read_tap_gains_validation():
     mask = np.ones(64, dtype=bool)
     cir = ImpulseResponse(taps=np.zeros(64, dtype=np.complex128))

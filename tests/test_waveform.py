@@ -13,6 +13,7 @@ from soundersim.waveform import (
     build_tx_frame,
     generate_zc,
     occupied_bins,
+    tx_frame_samples,
 )
 
 
@@ -157,6 +158,28 @@ def test_frame_rejects_mismatched_symbol():
     wf = build_sounding_symbol(ZcParams(51, 2), 64, 0.5)
     with pytest.raises(ConfigurationError):
         build_tx_frame(wf, cfg)
+    with pytest.raises(ConfigurationError):
+        tx_frame_samples(wf, cfg, 0, 4)
+
+
+@pytest.mark.parametrize("frame_len", [400, 384])  # a zero fill, and none
+def test_frame_samples_gather_the_frame_without_building_it(frame_len):
+    cfg = SounderConfig(
+        signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+        rep_period_s=frame_len * 2e-9, sample_period_s=2e-9, zc=ZcParams(51, 2),
+    )
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    frame = build_tx_frame(wf, cfg)
+    train = cfg.train_repetitions * cfg.signal_len
+    edges = [0, 1, train - 1, train, train + 1, frame_len - 1]
+    starts = [k * frame_len + e for k in (-3, -1, 0, 2, 10**9) for e in edges]
+    counts = [0, 1, 5, train, frame_len - 1, frame_len, frame_len + 1, 3 * frame_len + 7]
+    for start in starts:
+        for count in counts:
+            got = tx_frame_samples(wf, cfg, start, count)
+            assert got.dtype == fp.SAMPLE_DTYPE
+            expected = frame[(start + np.arange(count)) % frame_len]
+            assert np.array_equal(got, expected), (start, count)
 
 
 def test_frame_rejects_train_longer_than_frame():
@@ -168,6 +191,8 @@ def test_frame_rejects_train_longer_than_frame():
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     with pytest.raises(ConfigurationError):
         build_tx_frame(wf, cfg)
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        tx_frame_samples(wf, cfg, 0, 4)
 
 
 def test_frame_budget_identity_random_configs():
