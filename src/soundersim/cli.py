@@ -43,7 +43,7 @@ from .estimator import (
     to_cir,
 )
 from .fixedpoint import SAMPLE_DTYPE
-from .sync import PpsSchedule
+from .sync import PpsSchedule, receiver_offset
 from .waveform import build_sounding_symbol, build_tx_frame
 
 EXIT_OK = 0
@@ -85,8 +85,17 @@ def _response_block(capture: Capture, calibration_path: str | None = None):
     return block
 
 
+def _load_config(path):
+    """Load a config; a period that does not divide one second raises the
+    :class:`SchedulingError` that ``simulate`` reports for it."""
+    cfg = load_config(path)
+    receiver_offset(PpsSchedule(rep_period_s=cfg.rep_period_s,
+                                sample_period_s=cfg.sample_period_s))
+    return cfg
+
+
 def _cmd_generate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
     with open(args.out, "wb") as fh:
@@ -171,7 +180,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args.config)
     model = load_channel(args.channel)
     report = validate_config(cfg, model)
     print(report)

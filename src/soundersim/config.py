@@ -18,8 +18,19 @@ from dataclasses import dataclass, field, asdict
 
 from .averager import AveragerConfig
 from .errors import ConfigurationError
-from .sync import _exact_ratio
-from .waveform import ZcParams, train_repetitions
+from .waveform import ZcParams
+
+#: Relative tolerance when deciding whether a float ratio is an integer.
+_RATIO_TOL = 1e-9
+
+
+def exact_ratio(numerator: float, denominator: float) -> int | None:
+    """Return numerator/denominator as an int, or None if not integral."""
+    ratio = numerator / denominator
+    nearest = round(ratio)
+    if nearest < 1 or abs(ratio - nearest) > _RATIO_TOL * max(ratio, 1.0):
+        return None
+    return nearest
 
 
 @dataclass(frozen=True)
@@ -71,22 +82,23 @@ class SounderConfig:
             raise ConfigurationError(
                 f"center_freq_hz must be positive, got {self.center_freq_hz}"
             )
-        if _exact_ratio(self.rep_period_s, self.sample_period_s) is None:
+        if exact_ratio(self.rep_period_s, self.sample_period_s) is None:
             raise ConfigurationError(
                 f"rep_period {self.rep_period_s} s is not a whole number of "
                 f"{self.sample_period_s} s samples"
             )
-        window = self.discard_len + self.avg_count * self.signal_len
-        if self.frame_len < window:
+        reps = self.train_repetitions
+        train = reps * self.signal_len
+        if train > self.frame_len:
             raise ConfigurationError(
-                f"frame of {self.frame_len} samples cannot hold discard "
-                f"{self.discard_len} + {self.avg_count} x {self.signal_len} averaging window"
+                f"repetition train of {reps} x {self.signal_len} samples "
+                f"({train}) does not fit in a {self.frame_len}-sample frame"
             )
 
     @property
     def frame_len(self) -> int:
         """Samples per trigger period."""
-        ratio = _exact_ratio(self.rep_period_s, self.sample_period_s)
+        ratio = exact_ratio(self.rep_period_s, self.sample_period_s)
         assert ratio is not None  # enforced at construction
         return ratio
 
@@ -97,8 +109,14 @@ class SounderConfig:
 
     @property
     def train_repetitions(self) -> int:
-        """Symbol repetitions the transmitter sends per frame."""
-        return train_repetitions(self)
+        """Symbol repetitions the transmitter sends per frame.
+
+        The receiver discards ``discard_len`` samples and then averages
+        ``avg_count`` symbols, so the train must cover both; the count is
+        rounded up to whole symbols.
+        """
+        need = self.avg_count * self.signal_len + self.discard_len
+        return -(-need // self.signal_len)
 
     def averager_config(self) -> AveragerConfig:
         """The receiver-side subset of this configuration."""

@@ -42,11 +42,6 @@ LSB = 1.0 / FULL_SCALE
 BLOCK_LEN = 8192
 
 
-def zeros(count: int) -> np.ndarray:
-    """Return ``count`` all-zero complex samples."""
-    return np.zeros(count, dtype=SAMPLE_DTYPE)
-
-
 def from_components(i, q) -> np.ndarray:
     """Build samples from integer I and Q components.
 

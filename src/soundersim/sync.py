@@ -15,19 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import exact_ratio
 from .errors import SchedulingError
-
-#: Relative tolerance when deciding whether a float ratio is an integer.
-_RATIO_TOL = 1e-9
-
-
-def _exact_ratio(numerator: float, denominator: float) -> int | None:
-    """Return numerator/denominator as an int, or None if not integral."""
-    ratio = numerator / denominator
-    nearest = round(ratio)
-    if nearest < 1 or abs(ratio - nearest) > _RATIO_TOL * max(ratio, 1.0):
-        return None
-    return nearest
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class PpsSchedule:
             raise SchedulingError("periods must be positive")
         if self.tx_start_flank < 0 or self.rx_start_flank < 0:
             raise SchedulingError("flank indices must be >= 0")
-        if _exact_ratio(self.rep_period_s, self.sample_period_s) is None:
+        if exact_ratio(self.rep_period_s, self.sample_period_s) is None:
             raise SchedulingError(
                 f"rep_period {self.rep_period_s} s is not a whole number of "
                 f"{self.sample_period_s} s samples"
@@ -63,7 +52,7 @@ class PpsSchedule:
     @property
     def frame_len(self) -> int:
         """Samples per repetition period."""
-        ratio = _exact_ratio(self.rep_period_s, self.sample_period_s)
+        ratio = exact_ratio(self.rep_period_s, self.sample_period_s)
         assert ratio is not None  # enforced at construction
         return ratio
 
@@ -78,7 +67,7 @@ def check_flank_independence(rep_period_s: float) -> tuple[bool, int | None]:
         ``(independent, snapshots_per_second)``; the rate is ``None``
         when the property does not hold.
     """
-    per_second = _exact_ratio(1.0, rep_period_s)
+    per_second = exact_ratio(1.0, rep_period_s)
     if per_second is None:
         return False, None
     return True, per_second

@@ -125,10 +125,6 @@ def build_sounding_symbol(
     sequence = generate_zc(zc) if isinstance(zc, ZcParams) else np.asarray(
         zc, dtype=np.complex128
     )
-    if len(sequence) > fft_size:
-        raise ConfigurationError(
-            f"sequence length {len(sequence)} exceeds fft_size {fft_size}"
-        )
     bins = np.zeros(fft_size, dtype=np.complex128)
     indices = occupied_bins(len(sequence), fft_size)
     bins[indices] = sequence
@@ -149,33 +145,6 @@ def build_sounding_symbol(
     )
 
 
-def train_repetitions(cfg: "SounderConfig") -> int:
-    """Number of symbol repetitions the transmitter sends per snapshot.
-
-    The receiver discards ``discard_len`` samples and then averages
-    ``avg_count`` symbols, so the train must cover both; the count is
-    rounded up to whole symbols.
-    """
-    need = cfg.avg_count * cfg.signal_len + cfg.discard_len
-    return -(-need // cfg.signal_len)
-
-
-def _train(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
-    """The quantized symbol repeated over the train; checks it fits the frame."""
-    if wf.fft_size != cfg.signal_len:
-        raise ConfigurationError(
-            f"waveform length {wf.fft_size} does not match signal_len {cfg.signal_len}"
-        )
-    reps = train_repetitions(cfg)
-    train = reps * cfg.signal_len
-    if train > cfg.frame_len:
-        raise ConfigurationError(
-            f"repetition train of {reps} x {cfg.signal_len} samples "
-            f"({train}) does not fit in a {cfg.frame_len}-sample frame"
-        )
-    return np.tile(fixedpoint.quantize(wf.time_signal), reps)
-
-
 def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
     """Quantize the symbol and assemble one transmit frame.
 
@@ -183,12 +152,10 @@ def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
     quantized symbols long enough to feed the receiver's discard and
     averaging windows, followed by zeros until the next trigger.  The
     transmitter replays this frame every repetition period, so sample
-    ``n`` of the link is ``frame[n % frame_len]``.
+    ``n`` of the link is ``frame[n % frame_len]``.  It is the full-frame
+    call of :func:`tx_frame_samples`.
     """
-    train = _train(wf, cfg)
-    frame = fixedpoint.zeros(cfg.frame_len)
-    frame[: len(train)] = train
-    return frame
+    return tx_frame_samples(wf, cfg, 0, cfg.frame_len)
 
 
 def tx_frame_samples(
@@ -200,11 +167,17 @@ def tx_frame_samples(
     sample ``n`` is frame sample ``m = n mod frame_len``, which is
     ``symbol[m mod signal_len]`` inside the repetition train and zero
     after it.  The samples are copied from the train wherever it
-    overlaps, and the frame is never built.
+    overlaps, and the frame is never built.  The configuration
+    guarantees that the train fits in the frame.
     """
+    if wf.fft_size != cfg.signal_len:
+        raise ConfigurationError(
+            f"waveform length {wf.fft_size} does not match signal_len {cfg.signal_len}"
+        )
     # Whole records copy as 32-bit words; numpy copies structured
     # records field by field, many times slower.
-    train = _train(wf, cfg).view(np.uint32)
+    symbol = fixedpoint.quantize(wf.time_signal).view(np.uint32)
+    train = np.tile(symbol, cfg.train_repetitions)
     out = np.zeros(count, dtype=np.uint32)
     frame_len = cfg.frame_len
     for frame_start in range(start - start % frame_len, start + count, frame_len):

@@ -131,7 +131,7 @@ def test_m2_skips_add_in():
 
 def test_truncated_stream_reports_need():
     cfg = AveragerConfig(signal_len=256, discard_len=64, avg_count=4, shift_bits=2)
-    stream = fp.zeros(cfg.window_len - 1)
+    stream = np.zeros(cfg.window_len - 1, fp.SAMPLE_DTYPE)
     with pytest.raises(TruncatedStreamError, match="need 1088"):
         select_and_average(stream, cfg)
     with pytest.raises(TruncatedStreamError, match="snapshot 3"):

@@ -34,14 +34,14 @@ def test_unit_tap_delays_bit_identically():
     assert result.clipped_components == 0
     assert len(result.samples) == 413
     assert np.array_equal(result.samples[13:], tx)
-    assert np.array_equal(result.samples[:13], fp.zeros(13))
+    assert np.array_equal(result.samples[:13], np.zeros(13, fp.SAMPLE_DTYPE))
 
 
 def test_interferer_alone_matches_tone_oracle():
     model = ChannelModel(taps=((0, 0.0),),
                          interferers=(Interferer(freq=0.03, amplitude=0.25,
                                                  phase=0.7),))
-    tx = fp.zeros(256)
+    tx = np.zeros(256, fp.SAMPLE_DTYPE)
     result = apply_channel(tx, model, start_index=1000)
     n = np.arange(1000, 1256)
     oracle = 0.25 * np.exp(1j * (2 * np.pi * 0.03 * n + 0.7))
@@ -84,7 +84,7 @@ def test_superposition_of_taps():
 
 
 def test_noise_is_deterministic_per_seed():
-    tx = fp.zeros(500)
+    tx = np.zeros(500, fp.SAMPLE_DTYPE)
     model = ChannelModel(taps=((0, 1.0),), noise_std=0.05, seed=42)
     a = apply_channel(tx, model)
     b = apply_channel(tx, model)
@@ -95,7 +95,7 @@ def test_noise_is_deterministic_per_seed():
 
 
 def test_noise_statistics():
-    tx = fp.zeros(500_000)
+    tx = np.zeros(500_000, fp.SAMPLE_DTYPE)
     model = ChannelModel(taps=((0, 0.0),), noise_std=0.1, seed=11)
     out = propagate_float(tx, model)
     for comp in (out.real, out.imag):

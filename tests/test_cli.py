@@ -243,6 +243,30 @@ def test_invalid_config_exits_3(tmp_path, capsys):
     assert err["error"]["category"] == "validation"
 
 
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"rep_period_s": 3e-3}, "does not divide 1 s", id="period"),
+    pytest.param({"signal_len": 64, "discard_len": 66, "avg_count": 1,
+                  "shift_bits": 0, "rep_period_s": 160 * 2e-9,
+                  "zc": {"length": 51, "root": 2}}, "does not fit", id="train"),
+])
+def test_every_command_applies_the_frame_and_period_rules(tmp_path, capsys,
+                                                          config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    channel_path = tmp_path / "cable.json"
+    save_channel(channel_path, ChannelModel(taps=((0, 1.0),)))
+    out = str(tmp_path / "out")
+    for command in (["validate", "--channel", str(channel_path)],
+                    ["generate", "--out", out],
+                    ["simulate", "--channel", str(channel_path), "--out", out]):
+        assert main([*command, "--config", str(config_path)]) == 3, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"]["category"] == "validation"
+        assert message in err["error"]["message"]
+
+
 @pytest.mark.parametrize("text", [
     pytest.param('{"taps": [{"delay": "x", "gain": [1, 0]}]}', id="str-delay"),
     pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "noise_std": "abc"}',

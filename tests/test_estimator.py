@@ -80,7 +80,7 @@ def test_block_estimate_matches_each_snapshot_bit_for_bit():
 
 def test_zero_snapshot_gives_zero_response():
     cfg = SounderConfig()
-    snap = Snapshot(data=fp.zeros(1024), snapshot_index=0,
+    snap = Snapshot(data=np.zeros(1024, fp.SAMPLE_DTYPE), snapshot_index=0,
                     config=cfg.averager_config())
     resp = estimate_response(snap, DEFAULT_WF)
     assert np.all(resp.bins == 0)
@@ -277,7 +277,7 @@ def test_read_tap_gains_validation():
 
 def test_estimate_rejects_mismatched_sizes():
     snap = Snapshot(
-        data=fp.zeros(64), snapshot_index=0,
+        data=np.zeros(64, fp.SAMPLE_DTYPE), snapshot_index=0,
         config=AveragerConfig(signal_len=64, discard_len=0, avg_count=1,
                               shift_bits=0),
     )
@@ -288,7 +288,7 @@ def test_estimate_rejects_mismatched_sizes():
 def test_estimate_rejects_degenerate_waveform():
     wf = build_sounding_symbol(np.array([1.0, 0.0, 1.0]), fft_size=8)
     snap = Snapshot(
-        data=fp.zeros(8), snapshot_index=0,
+        data=np.zeros(8, fp.SAMPLE_DTYPE), snapshot_index=0,
         config=AveragerConfig(signal_len=8, discard_len=0, avg_count=1,
                               shift_bits=0),
     )

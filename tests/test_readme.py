@@ -1,0 +1,37 @@
+"""The README's Python API examples run and print what their comments say."""
+
+import contextlib
+import importlib
+import io
+import re
+from pathlib import Path
+
+import soundersim
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def test_python_blocks_print_their_commented_output():
+    # Blocks share one namespace, as a reader running them in order would.
+    namespace = {}
+    printed, expected = [], []
+    for block in BLOCKS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), namespace)
+        printed += out.getvalue().splitlines()
+        # "print(x)  # shown: remark" expects the line "shown".
+        expected += [comment.split(": ")[0] for comment in
+                     re.findall(r"^print\(.*\)\s+# (.*)$", block, flags=re.M)]
+    assert expected == ["[1.-0.j  0.+0.5j]", "(1024,) (10, 1024)", "(10, 2)"]
+    assert printed == expected
+
+
+def test_readme_imports_are_package_exports():
+    imports = re.findall(r"^from soundersim\.(\w+) import (.+)$", README, flags=re.M)
+    assert imports
+    for module, names in imports:
+        for name in (n.strip() for n in names.split(",")):
+            assert hasattr(importlib.import_module(f"soundersim.{module}"), name)
+            assert name in soundersim.__all__, name

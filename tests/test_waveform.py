@@ -1,10 +1,12 @@
 """Sounding symbol synthesis and transmit frame assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from soundersim import fixedpoint as fp
-from soundersim.config import SounderConfig
+from soundersim.config import SounderConfig, config_from_dict
 from soundersim.errors import ConfigurationError
 from soundersim.waveform import (
     SoundingWaveform,
@@ -153,6 +155,22 @@ def test_frame_single_repetition():
     assert np.array_equal(frame, fp.quantize(wf.time_signal))
 
 
+@pytest.mark.parametrize("params, digest", [
+    ({}, "9cf25a5a22ce228009a257b5d01e2893d2244d23f78ae77a0c1243db9e3dbea4"),
+    (dict(signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+          rep_period_s=400 * 2e-9, sample_period_s=2e-9, zc=ZcParams(51, 2)),
+     "2795bf6383a15bd86c712a5ee493fc66e81e0181b7922f5f841ef96be7c9b762"),
+    (dict(signal_len=1024, discard_len=0, avg_count=1, shift_bits=0,
+          rep_period_s=2.048e-6, sample_period_s=2e-9),
+     "22e1aec71f526c3bd727dfcf400a3ab0e42f132ccda3eff9d4293d7258038e84"),
+], ids=["default", "400-sample", "single-repetition"])
+def test_tx_frame_sha256_pinned(params, digest):
+    cfg = SounderConfig(**params)
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    frame = build_tx_frame(wf, cfg)
+    assert hashlib.sha256(frame.tobytes()).hexdigest() == digest
+
+
 def test_frame_rejects_mismatched_symbol():
     cfg = SounderConfig()
     wf = build_sounding_symbol(ZcParams(51, 2), 64, 0.5)
@@ -184,36 +202,41 @@ def test_frame_samples_gather_the_frame_without_building_it(frame_len):
 
 def test_frame_rejects_train_longer_than_frame():
     # Window fits (66 <= 100) but whole-symbol rounding needs 128 samples.
-    cfg = SounderConfig(
+    params = dict(
         signal_len=64, discard_len=2, avg_count=1, shift_bits=0,
         rep_period_s=100 * 2e-9, sample_period_s=2e-9, zc=ZcParams(51, 2),
     )
-    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    with pytest.raises(ConfigurationError):
-        build_tx_frame(wf, cfg)
     with pytest.raises(ConfigurationError, match="does not fit"):
-        tx_frame_samples(wf, cfg, 0, 4)
+        SounderConfig(**params)
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        config_from_dict(dict(params, zc=dict(length=51, root=2)))
 
 
 def test_frame_budget_identity_random_configs():
-    # nonzero + zero sample counts always add up to the frame length.
+    # nonzero + zero sample counts always add up to the frame length, and
+    # a config is rejected exactly when its train does not fit its frame.
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(40):
         signal_len = int(rng.choice([64, 128, 256]))
         avg_count = int(rng.integers(1, 9))
         shift_bits = int(np.ceil(np.log2(max(avg_count, 1)))) if avg_count > 1 else 0
         discard_len = 2 * int(rng.integers(0, 200))
         window = discard_len + avg_count * signal_len
-        frames = -(-window // signal_len) + int(rng.integers(0, 4))
-        frame_len = frames * signal_len
-        cfg = SounderConfig(
+        train = -(-window // signal_len) * signal_len
+        frame_len = train + int(rng.integers(1 - signal_len, 2 * signal_len))
+        params = dict(
             signal_len=signal_len, discard_len=discard_len,
             avg_count=avg_count, shift_bits=shift_bits,
             rep_period_s=frame_len * 2e-9, sample_period_s=2e-9,
             zc=ZcParams(51, 2),
         )
+        if train > frame_len:
+            with pytest.raises(ConfigurationError, match="does not fit"):
+                SounderConfig(**params)
+            continue
+        cfg = SounderConfig(**params)
         wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
         frame = build_tx_frame(wf, cfg)
-        train = cfg.train_repetitions * signal_len
+        assert cfg.train_repetitions * signal_len == train
         assert train + (len(frame) - train) == cfg.frame_len
         assert train <= cfg.frame_len
