@@ -141,7 +141,8 @@ def run_campaign(
     Raises:
         ValidationError: the configuration cannot measure this channel
             at the schedule's timing error.
-        SchedulingError: the schedule is not flank-independent.
+        SchedulingError: no schedule is given and the config's period
+            does not divide one second.
     """
     if schedule is None:
         schedule = PpsSchedule(
@@ -264,16 +265,20 @@ def read_capture(path) -> Capture:
         raise CaptureFormatError(f"malformed capture header: {exc}") from exc
     try:
         cfg = config_from_dict(header["config"])
-        count = int(header["snapshot_count"])
+        count = header["snapshot_count"]
         meta = {
             "channel_digest": header["channel_digest"],
             "prng": header["prng"],
-            "seed": int(header["seed"]),
+            "seed": header["seed"],
             "created": header["created"],
-            "clipped_components": int(header["clipped_components"]),
+            "clipped_components": header["clipped_components"],
         }
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ConfigurationError) as exc:
         raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
+    for key in ("snapshot_count", "seed", "clipped_components"):
+        if type(header[key]) is not int:
+            raise CaptureFormatError(
+                f"capture header {key} must be an integer, got {header[key]!r}")
 
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes

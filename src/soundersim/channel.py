@@ -26,16 +26,14 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fixedpoint
+from .config import SounderConfig, check_field_types
 from .errors import ConfigurationError
 from .fixedpoint import BLOCK_LEN
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .config import SounderConfig
 
 
 def _is_integer(value) -> bool:
@@ -129,8 +127,7 @@ class ChannelModel:
         return self.max_delay - self.first_arrival
 
 
-@dataclass
-class ChannelResult:
+class ChannelResult(NamedTuple):
     """Quantized channel output plus saturation diagnostics."""
 
     samples: np.ndarray  # SAMPLE_DTYPE
@@ -235,8 +232,7 @@ def apply_channel(
     counted.
     """
     received = propagate_float(tx, model, start_index=start_index, rng=rng)
-    samples, clipped = fixedpoint.quantize_clipped(received)
-    return ChannelResult(samples=samples, clipped_components=clipped)
+    return ChannelResult(*fixedpoint.quantize_clipped(received))
 
 
 @dataclass(frozen=True)
@@ -268,7 +264,7 @@ class ValidationReport:
 
 
 def validate_config(
-    cfg: "SounderConfig", model: ChannelModel, offset: int = 0
+    cfg: SounderConfig, model: ChannelModel, offset: int = 0
 ) -> ValidationReport:
     """Check that a sounder configuration can measure a channel.
 
@@ -339,26 +335,29 @@ def channel_to_dict(model: ChannelModel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
-    """Inverse of :func:`channel_to_dict`."""
+    """Inverse of :func:`channel_to_dict`; numeric fields are type-checked."""
     try:
+        for t in data["taps"]:
+            if not all(type(c) in (int, float) for c in t["gain"]):
+                raise ConfigurationError(
+                    f"tap gain components must be numbers, got {t['gain']!r}")
         taps = tuple(
             (t["delay"], complex(t["gain"][0], t["gain"][1]))
             for t in data["taps"]
         )
         interferers = tuple(
-            Interferer(
-                freq=float(t["freq"]),
-                amplitude=float(t["amplitude"]),
-                phase=float(t.get("phase", 0.0)),
-            )
+            Interferer(freq=t["freq"], amplitude=t["amplitude"],
+                       phase=t.get("phase", 0.0))
             for t in data.get("interferers", [])
         )
-        return ChannelModel(
+        model = ChannelModel(
             taps=taps,
-            noise_std=float(data.get("noise_std", 0.0)),
+            noise_std=data.get("noise_std", 0.0),
             interferers=interferers,
             seed=data.get("seed", 0),
         )
+        check_field_types(model, *model.interferers)
+        return model
     except (KeyError, TypeError, IndexError, ValueError, OverflowError,
             ConfigurationError) as exc:
         raise ConfigurationError(f"malformed channel model: {exc}") from exc

@@ -43,7 +43,7 @@ from .estimator import (
     to_cir,
 )
 from .fixedpoint import SAMPLE_DTYPE
-from .sync import PpsSchedule, receiver_offset
+from .sync import PpsSchedule
 from .waveform import build_sounding_symbol, build_tx_frame
 
 EXIT_OK = 0
@@ -89,8 +89,7 @@ def _load_config(path):
     """Load a config; a period that does not divide one second raises the
     :class:`SchedulingError` that ``simulate`` reports for it."""
     cfg = load_config(path)
-    receiver_offset(PpsSchedule(rep_period_s=cfg.rep_period_s,
-                                sample_period_s=cfg.sample_period_s))
+    PpsSchedule(rep_period_s=cfg.rep_period_s, sample_period_s=cfg.sample_period_s)
     return cfg
 
 
@@ -163,11 +162,11 @@ def _cmd_estimate(args) -> int:
         delay_s = n * cfg.sample_period_s
         if args.kind == "cir":
             columns = {"snapshot": snapshot, "delay_s": delay_s,
-                       "real": cir.taps.real.ravel(), "imag": cir.taps.imag.ravel()}
+                       "real": cir.real.ravel(), "imag": cir.imag.ravel()}
         else:  # pdp
             # Exported power is relative to each snapshot's strongest tap;
             # absolute reference levels are not calibrated.
-            power_db = power_delay_profile(cir, cfg.sample_period_s).power_db
+            power_db = power_delay_profile(cir)
             power_db -= power_db.max(axis=-1, keepdims=True)
             columns = {"snapshot": snapshot, "delay_s": delay_s,
                        "power_rel_peak_db": power_db.ravel()}

@@ -133,6 +133,20 @@ def config_to_dict(cfg: SounderConfig) -> dict:
     return asdict(cfg)
 
 
+def check_field_types(*objects) -> None:
+    """Reject ``int`` fields that are not ints (bools included) and
+    ``float`` fields that are not finite ints or floats, on dataclasses
+    read from JSON."""
+    for params in objects:
+        for f in dataclasses.fields(params):
+            value = getattr(params, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (type(value) in (int, float)
+                                          and -math.inf < value < math.inf):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+
+
 def config_from_dict(data: dict) -> SounderConfig:
     """Inverse of :func:`config_to_dict`; numeric fields are type-checked."""
     try:
@@ -143,14 +157,7 @@ def config_from_dict(data: dict) -> SounderConfig:
         cfg = SounderConfig(**fields)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed sounder config: {exc}") from exc
-    for params in (cfg, cfg.zc):
-        for f in dataclasses.fields(params):
-            value = getattr(params, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (type(value) in (int, float)
-                                          and -math.inf < value < math.inf):
-                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+    check_field_types(cfg, cfg.zc)
     return cfg
 
 

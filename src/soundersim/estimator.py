@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from scipy.special import diric
 
 from . import fixedpoint
 from .averager import Snapshot
+from .config import check_field_types
 from .errors import ConfigurationError, DegenerateWaveformError
 from .waveform import SoundingWaveform
 
@@ -59,21 +61,6 @@ class FrequencyResponse:
     @property
     def fft_size(self) -> int:
         return self.bins.shape[-1]
-
-
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """Band-limited channel impulse response (one tap per sample)."""
-
-    taps: np.ndarray  # complex128, shape (..., fft_size)
-
-
-@dataclass(frozen=True)
-class PowerDelayProfile:
-    """Tap powers in dB over delay."""
-
-    delay_s: np.ndarray  # float64, length fft_size
-    power_db: np.ndarray  # float64, shape (..., fft_size)
 
 
 #: PDP floor for zero (or vanishing) taps, in dB.
@@ -128,22 +115,19 @@ def estimate_response(
     return FrequencyResponse(bins=bins, occupied_mask=mask.copy())
 
 
-def to_cir(response: FrequencyResponse) -> ImpulseResponse:
-    """Inverse DFT over the last axis: the band-limited impulse response."""
-    return ImpulseResponse(taps=np.fft.ifft(response.bins))
+def to_cir(response: FrequencyResponse) -> np.ndarray:
+    """Inverse DFT over the last axis: the complex band-limited impulse response."""
+    return np.fft.ifft(response.bins)
 
 
-def power_delay_profile(
-    cir: ImpulseResponse, sample_period_s: float
-) -> PowerDelayProfile:
-    """Tap power versus delay in dB, floored at -200 dB, row by row."""
-    mag = np.abs(cir.taps)
+def power_delay_profile(cir: np.ndarray) -> np.ndarray:
+    """Tap power in dB, per tap of ``cir``, floored at -200 dB, row by row."""
+    mag = np.abs(cir)
     power_db = np.full(mag.shape, PDP_FLOOR_DB)
     nonzero = mag > 0
     np.log10(mag, out=power_db, where=nonzero)
     power_db[nonzero] = np.maximum(20.0 * power_db[nonzero], PDP_FLOOR_DB)
-    delay_s = np.arange(mag.shape[-1]) * sample_period_s
-    return PowerDelayProfile(delay_s=delay_s, power_db=power_db)
+    return power_db
 
 
 def band_limit_kernel(occupied_mask: np.ndarray) -> np.ndarray:
@@ -156,7 +140,7 @@ def band_limit_kernel(occupied_mask: np.ndarray) -> np.ndarray:
 
 
 def read_tap_gains(
-    cir: ImpulseResponse, occupied_mask: np.ndarray, delays
+    cir: np.ndarray, occupied_mask: np.ndarray, delays
 ) -> np.ndarray:
     """Read complex tap gains at known integer delays.
 
@@ -177,8 +161,8 @@ def read_tap_gains(
     """
     delays = np.asarray(delays, dtype=np.int64)
     if delays.size == 0:
-        return np.zeros(cir.taps.shape[:-1] + (0,), dtype=np.complex128)
-    size = cir.taps.shape[-1]
+        return np.zeros(cir.shape[:-1] + (0,), dtype=np.complex128)
+    size = cir.shape[-1]
     if np.any(delays < 0) or np.any(delays >= size):
         raise ConfigurationError(f"delays must be in [0, {size}), got {delays}")
     if len(np.unique(delays)) != delays.size:
@@ -187,7 +171,7 @@ def read_tap_gains(
     matrix = kernel[np.mod(delays[:, None] - delays[None, :], size)]
     try:
         # One right-hand side per row, so a block row solves as its own 1-D CIR.
-        return np.linalg.solve(matrix, cir.taps[..., delays, np.newaxis])[..., 0]
+        return np.linalg.solve(matrix, cir[..., delays, np.newaxis])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             f"band-limit kernel is singular at delays {delays}: {exc}"
@@ -223,9 +207,9 @@ class CalibrationProfile:
     threshold: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
+        if not 0 < self.threshold < math.inf:
             raise ConfigurationError(
-                f"threshold must be positive, got {self.threshold}"
+                f"threshold must be positive and finite, got {self.threshold}"
             )
         occ = self.reference.bins[self.reference.occupied_mask]
         weak = int(np.count_nonzero(np.abs(occ) < self.threshold))
@@ -292,18 +276,23 @@ def calibration_to_dict(profile: CalibrationProfile) -> dict:
 
 
 def calibration_from_dict(data: dict) -> CalibrationProfile:
-    """Inverse of :func:`calibration_to_dict`."""
+    """Inverse of :func:`calibration_to_dict`; numeric fields are type-checked."""
     try:
-        size = int(data["fft_size"])
-        indices = np.asarray(data["occupied"], dtype=np.int64)
+        size, occupied = data["fft_size"], data["occupied"]
+        if type(size) is not int or not all(type(k) is int and 0 <= k < size
+                                            for k in occupied):
+            raise ConfigurationError(f"fft_size {size!r} and occupied bins must be "
+                                     "integers, bins in [0, fft_size)")
+        indices = np.asarray(occupied, dtype=np.int64)
         bins = np.zeros(size, dtype=np.complex128)
         bins[indices] = np.asarray(data["real"]) + 1j * np.asarray(data["imag"])
         mask = np.zeros(size, dtype=bool)
         mask[indices] = True
         reference = FrequencyResponse(bins=bins, occupied_mask=mask)
-        return CalibrationProfile(reference=reference,
-                                  threshold=float(data["threshold"]))
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        profile = CalibrationProfile(reference=reference, threshold=data["threshold"])
+        check_field_types(profile)
+        return profile
+    except (KeyError, TypeError, IndexError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"malformed calibration profile: {exc}") from exc
 
 

@@ -8,9 +8,7 @@ without re-deriving scaling rules:
 * full scale is 1.0 <-> 32768, so the largest representable component
   is 32767/32768 and the smallest is -1.0 exactly,
 * float -> int uses round-half-even then saturation,
-* int -> float is exact (divide by 32768),
-* right shifts are arithmetic (sign preserving, rounding toward -inf),
-  matching what a synthesized ``>>>`` does to signed operands.
+* int -> float is exact (divide by 32768).
 
 Samples travel as numpy structured arrays of :data:`SAMPLE_DTYPE`, which
 is also the exact byte layout used on disk: little-endian I then Q,

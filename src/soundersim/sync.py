@@ -5,10 +5,10 @@ PPS signal and then free-run: a new frame starts every repetition
 period.  If one second is an integer multiple of the repetition period,
 every PPS flank lands exactly on a frame boundary, so the two devices
 may start on *different* flanks and still observe the same alignment --
-no communication between them is needed.  This module checks that
-property and converts a schedule into the one number the simulator
-needs: how far into the transmit frame the receiver's first sample
-falls.
+no communication between them is needed.  A schedule enforces that
+property at construction; :func:`receiver_offset` turns it into the one
+number the simulator needs: how far into the transmit frame the
+receiver's first sample falls.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ class PpsSchedule:
                 f"rep_period {self.rep_period_s} s is not a whole number of "
                 f"{self.sample_period_s} s samples"
             )
+        if exact_ratio(1.0, self.rep_period_s) is None:
+            raise SchedulingError(
+                f"rep_period {self.rep_period_s} s does not divide 1 s: "
+                "capture would depend on the PPS flanks the devices start on"
+            )
 
     @property
     def frame_len(self) -> int:
@@ -57,39 +62,12 @@ class PpsSchedule:
         return ratio
 
 
-def check_flank_independence(rep_period_s: float) -> tuple[bool, int | None]:
-    """Check whether capture alignment is independent of start flanks.
-
-    One second must be an integer multiple of the repetition period so
-    that every PPS flank coincides with a frame boundary.
-
-    Returns:
-        ``(independent, snapshots_per_second)``; the rate is ``None``
-        when the property does not hold.
-    """
-    per_second = exact_ratio(1.0, rep_period_s)
-    if per_second is None:
-        return False, None
-    return True, per_second
-
-
 def receiver_offset(schedule: PpsSchedule) -> int:
     """Position in the transmit frame of the receiver's first sample.
 
-    The receiver stream is ``frame[(n - offset) mod frame_len]``.  With
-    flank-independent scheduling the flank difference contributes a
-    whole number of frames, so only the timing error survives the
-    modulo.
-
-    Raises:
-        SchedulingError: if one second is not an integer multiple of
-            the repetition period -- the alignment would then depend on
-            which flank each device happened to catch.
+    The receiver stream is ``frame[(n - offset) mod frame_len]``.  A
+    schedule is flank-independent by construction, so the flank
+    difference contributes a whole number of frames and only the timing
+    error survives the modulo.
     """
-    independent, _ = check_flank_independence(schedule.rep_period_s)
-    if not independent:
-        raise SchedulingError(
-            f"rep_period {schedule.rep_period_s} s does not divide 1 s: "
-            "capture would depend on the PPS flanks the devices start on"
-        )
     return schedule.timing_error % schedule.frame_len

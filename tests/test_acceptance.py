@@ -98,7 +98,7 @@ def _pdp_noise_floor_db(cfg, model, snapshots):
     floors = []
     for snap in capture.snapshots:
         cir = to_cir(estimate_response(snap, wf))
-        floors.append(10.0 * np.log10(np.median(np.abs(cir.taps) ** 2)))
+        floors.append(10.0 * np.log10(np.median(np.abs(cir) ** 2)))
     assert len(floors) == snapshots
     return float(np.mean(floors))
 
@@ -166,7 +166,7 @@ def test_criterion_07_cir_recovery():
     capture = run_campaign(cfg, model, created=CREATED)
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     cir = to_cir(estimate_response(capture.snapshots[0], wf))
-    top3 = np.sort(np.argsort(np.abs(cir.taps))[-3:])
+    top3 = np.sort(np.argsort(np.abs(cir))[-3:])
     delays_ok = top3.tolist() == list(delays)
     recovered = read_tap_gains(cir, wf.occupied_mask, delays)
     rel_err = np.abs(recovered - np.asarray(gains)) / np.abs(gains)
@@ -188,7 +188,7 @@ def test_criterion_08_timing_error_tolerance():
 
     def capture_cir(offset):
         snap = select_and_average(np.roll(frame, offset), acfg)
-        return snap.data, to_cir(estimate_response(snap, wf)).taps
+        return snap.data, to_cir(estimate_response(snap, wf))
 
     data0, cir0 = capture_cir(0)
     max_offset = cfg.discard_len - cfg.signal_len

@@ -112,6 +112,11 @@ def test_saturation_is_counted_and_clipped():
     result = apply_channel(tx, model)
     assert result.clipped_components == 2
     assert result.samples["i"].tolist() == [32767, -32768, 200]
+    # The result is the (samples, clipped) pair quantize_clipped returns.
+    samples, clipped = apply_channel(tx, model)
+    expected, expected_clipped = fp.quantize_clipped(propagate_float(tx, model))
+    assert samples.tobytes() == expected.tobytes()
+    assert clipped == expected_clipped == 2
 
 
 def test_validator_accepts_default_against_table_channel():

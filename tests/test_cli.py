@@ -192,6 +192,35 @@ def test_corrupt_capture_exits_5_with_json_error(tmp_path, capsys):
     assert "magic" in err["error"]["message"]
 
 
+def _simulated_capture(tmp_path, capsys):
+    _, config_path, channel_path = _write_inputs(tmp_path)
+    path = tmp_path / "run.capture"
+    main(["simulate", "--config", config_path, "--channel", channel_path,
+          "--out", str(path)])
+    capsys.readouterr()
+    return path
+
+
+def _run_on_edited_header(tmp_path, capsys, command, edit):
+    """Rewrite a fresh capture's JSON header with ``edit``, run ``command``
+    on it and return the JSON error it must exit 5 with."""
+    path = _simulated_capture(tmp_path, capsys)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 6)
+    header = json.loads(raw[10:10 + header_len])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
+                     + raw[10 + header_len:])
+    args = [command, str(path)]
+    if command == "estimate":
+        args += ["--out", str(tmp_path / "pdp.csv")]
+    assert main(args) == 5
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["category"] == "format"
+    return err
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"signal_len": 3}, id="3"),
     pytest.param({"signal_len": 64.0}, id="64.0"),
@@ -206,25 +235,66 @@ def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
     # An odd signal_len breaks a config constraint; a float one used to
     # pass and crash the estimator with a TypeError.  The float fields
     # used to take strings, bools and non-finite values.
-    _, config_path, channel_path = _write_inputs(tmp_path)
-    path = tmp_path / "run.capture"
-    main(["simulate", "--config", config_path, "--channel", channel_path,
-          "--out", str(path)])
+    err = _run_on_edited_header(tmp_path, capsys, command,
+                                lambda header: header["config"].update(fields))
+    assert any(name in err["message"] for name in fields)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("snapshot_count", 2.0), ("snapshot_count", "2"), ("snapshot_count", True),
+    ("seed", 5.7), ("seed", "5"), ("seed", True),
+    ("clipped_components", 0.0), ("clipped_components", "0"),
+    ("clipped_components", False),
+])
+@pytest.mark.parametrize("command", ["report", "estimate"])
+def test_capture_header_with_non_integer_count_exits_5(tmp_path, capsys, command,
+                                                       key, value):
+    # These counts used to pass through int(): a seed of 5.7 read as 5.
+    err = _run_on_edited_header(tmp_path, capsys, command,
+                                lambda header: header.update({key: value}))
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize("threshold", ["inf", "nan", "0"])
+def test_calibrate_rejects_threshold_outside_positive_finite(tmp_path, capsys,
+                                                            threshold):
+    path = _simulated_capture(tmp_path, capsys)
+    cal_path = tmp_path / "cal.json"
+    assert main(["calibrate", str(path), "--out", str(cal_path),
+                 f"--threshold={threshold}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not cal_path.exists()
+    err = json.loads(captured.err)
+    assert err["error"]["category"] == "validation"
+    assert "threshold must be positive and finite" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threshold", True), ("threshold", "0.001"),
+    ("fft_size", 64.9), ("fft_size", True),
+    ("occupied", 1.0), ("occupied", -1),
+])
+def test_malformed_calibration_file_exits_3(tmp_path, capsys, field, value):
+    # A bool threshold used to read as 1.0 and a fractional fft_size was
+    # truncated; a float or negative bin index used to be read as another bin.
+    path = _simulated_capture(tmp_path, capsys)
+    cal_path = tmp_path / "cal.json"
+    assert main(["calibrate", str(path), "--out", str(cal_path)]) == 0
     capsys.readouterr()
-    raw = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", raw, 6)
-    header = json.loads(raw[10:10 + header_len])
-    header["config"].update(fields)
-    encoded = json.dumps(header).encode()
-    path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
-                     + raw[10 + header_len:])
-    args = [command, str(path)]
-    if command == "estimate":
-        args += ["--out", str(tmp_path / "pdp.csv")]
-    assert main(args) == 5
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["category"] == "format"
-    assert any(name in err["error"]["message"] for name in fields)
+    profile = json.loads(cal_path.read_text())
+    if field == "occupied":
+        profile["occupied"][1] = value  # one bin of the list
+    else:
+        profile[field] = value
+    cal_path.write_text(json.dumps(profile))
+    out = tmp_path / "resp.csv"
+    assert main(["estimate", str(path), "--kind", "response",
+                 "--calibration", str(cal_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert err["error"]["category"] == "validation"
+    assert "malformed calibration profile" in err["error"]["message"]
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -279,6 +349,17 @@ def test_every_command_applies_the_frame_and_period_rules(tmp_path, capsys,
                  id="float-seed"),
     pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "seed": true}',
                  id="bool-seed"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "noise_std": true}',
+                 id="bool-noise"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "noise_std": "0.01"}',
+                 id="numeric-str-noise"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], '
+                 '"interferers": [{"freq": 0.1, "amplitude": "0.5"}]}',
+                 id="str-amplitude"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], '
+                 '"interferers": [{"freq": "0.1", "amplitude": 0.5}]}',
+                 id="str-freq"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [true, 0]}]}', id="bool-gain"),
 ])
 def test_malformed_channel_file_exits_3(tmp_path, capsys, text):
     _, config_path, _ = _write_inputs(tmp_path)

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from soundersim.errors import SchedulingError
-from soundersim.sync import PpsSchedule, check_flank_independence, receiver_offset
+from soundersim.sync import PpsSchedule, receiver_offset
 
 
 def test_flank_independence_examples():
-    assert check_flank_independence(5e-3) == (True, 200)
-    assert check_flank_independence(1.0) == (True, 1)
-    assert check_flank_independence(1e-5) == (True, 100_000)
-    assert check_flank_independence(3e-3) == (False, None)
-    assert check_flank_independence(0.4) == (False, None)
-    assert check_flank_independence(7e-4) == (False, None)
+    # 200, 1 and 100,000 frames per second: every PPS flank is a frame boundary.
+    for rep in (5e-3, 1.0, 1e-5):
+        sched = PpsSchedule(rep_period_s=rep, sample_period_s=rep / 100,
+                            tx_start_flank=1, rx_start_flank=4)
+        assert receiver_offset(sched) == 0
 
 
 def test_frame_len_default_config():
@@ -39,10 +38,10 @@ def test_negative_timing_error_wraps():
     assert receiver_offset(sched) == 2_500_000 - 4
 
 
-def test_dependent_period_is_rejected():
-    sched = PpsSchedule(rep_period_s=3e-3, sample_period_s=2e-9)
+@pytest.mark.parametrize("rep_period_s", [3e-3, 0.4, 7e-4])
+def test_dependent_period_is_rejected(rep_period_s):
     with pytest.raises(SchedulingError, match="does not divide 1 s"):
-        receiver_offset(sched)
+        PpsSchedule(rep_period_s=rep_period_s, sample_period_s=rep_period_s / 100)
 
 
 def test_schedule_validation():
