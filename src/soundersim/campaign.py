@@ -46,6 +46,7 @@ With the standard configuration a snapshot is 4 KiB every 5 ms, about
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ from .channel import (
     convolve_taps,
     validate_config,
 )
-from .config import SounderConfig, config_from_dict, config_to_dict
+from .config import SounderConfig, config_from_dict, config_to_dict, from_json
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
 from .fixedpoint import SAMPLE_DTYPE, quantize_clipped
 from .sync import PpsSchedule, receiver_offset
@@ -266,19 +267,22 @@ def read_capture(path) -> Capture:
     try:
         cfg = config_from_dict(header["config"])
         count = header["snapshot_count"]
-        meta = {
-            "channel_digest": header["channel_digest"],
-            "prng": header["prng"],
-            "seed": header["seed"],
-            "created": header["created"],
-            "clipped_components": header["clipped_components"],
-        }
+        meta = {key: header[key] for key in
+                ("channel_digest", "prng", "seed", "created", "clipped_components")}
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
-    for key in ("snapshot_count", "seed", "clipped_components"):
+    for key, bound in (("snapshot_count", math.inf), ("seed", 2**64),
+                       ("clipped_components", math.inf)):
         if type(header[key]) is not int:
             raise CaptureFormatError(
                 f"capture header {key} must be an integer, got {header[key]!r}")
+        if not 0 <= header[key] < bound:
+            raise CaptureFormatError(
+                f"capture header {key} must be in [0, {bound}), got {header[key]}")
+    try:
+        capture = from_json(Capture, meta, config=cfg, snapshots=[])
+    except ConfigurationError as exc:
+        raise CaptureFormatError(f"capture header {exc}") from exc
 
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes
@@ -293,6 +297,6 @@ def read_capture(path) -> Capture:
     except ValueError as exc:
         raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
     acfg = cfg.averager_config()
-    snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
-                 for k, row in enumerate(data)]
-    return Capture(config=cfg, snapshots=snapshots, **meta)
+    capture.snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
+                         for k, row in enumerate(data)]
+    return capture

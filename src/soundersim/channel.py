@@ -25,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fixedpoint
-from .config import SounderConfig, check_field_types
+from .config import MALFORMED, SounderConfig, from_json, read_json
 from .errors import ConfigurationError
 from .fixedpoint import BLOCK_LEN
 
@@ -321,45 +321,29 @@ def validate_config(
 
 def channel_to_dict(model: ChannelModel) -> dict:
     """JSON-ready dict representation (complex values as [re, im])."""
-    return {
-        "taps": [
-            {"delay": d, "gain": [g.real, g.imag]} for d, g in model.taps
-        ],
-        "noise_std": model.noise_std,
-        "interferers": [
-            {"freq": t.freq, "amplitude": t.amplitude, "phase": t.phase}
-            for t in model.interferers
-        ],
-        "seed": model.seed,
-    }
+    data = asdict(model)
+    data["taps"] = [{"delay": d, "gain": [g.real, g.imag]} for d, g in model.taps]
+    return data
+
+
+def _tap(delay, gain) -> tuple[int, complex]:
+    """One ``{"delay", "gain": [re, im]}`` entry of a channel file."""
+    re, im = gain
+    if not (type(re) in (int, float) and type(im) in (int, float)):
+        raise ConfigurationError(f"tap gain components must be numbers, got {gain!r}")
+    return delay, complex(re, im)
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
-    """Inverse of :func:`channel_to_dict`; numeric fields are type-checked."""
+    """Inverse of :func:`channel_to_dict`; field types are checked."""
     try:
-        for t in data["taps"]:
-            if not all(type(c) in (int, float) for c in t["gain"]):
-                raise ConfigurationError(
-                    f"tap gain components must be numbers, got {t['gain']!r}")
-        taps = tuple(
-            (t["delay"], complex(t["gain"][0], t["gain"][1]))
-            for t in data["taps"]
+        return from_json(
+            ChannelModel, data,
+            taps=tuple(_tap(**t) for t in data["taps"]),
+            interferers=tuple(from_json(Interferer, t)
+                              for t in data.get("interferers", ())),
         )
-        interferers = tuple(
-            Interferer(freq=t["freq"], amplitude=t["amplitude"],
-                       phase=t.get("phase", 0.0))
-            for t in data.get("interferers", [])
-        )
-        model = ChannelModel(
-            taps=taps,
-            noise_std=data.get("noise_std", 0.0),
-            interferers=interferers,
-            seed=data.get("seed", 0),
-        )
-        check_field_types(model, *model.interferers)
-        return model
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError,
-            ConfigurationError) as exc:
+    except MALFORMED as exc:
         raise ConfigurationError(f"malformed channel model: {exc}") from exc
 
 
@@ -379,9 +363,4 @@ def save_channel(path, model: ChannelModel) -> None:
 
 def load_channel(path) -> ChannelModel:
     """Read a channel model written by :func:`save_channel`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"channel file is not valid JSON: {exc}") from exc
-    return channel_from_dict(data)
+    return channel_from_dict(read_json(path, "channel"))

@@ -133,32 +133,51 @@ def config_to_dict(cfg: SounderConfig) -> dict:
     return asdict(cfg)
 
 
-def check_field_types(*objects) -> None:
-    """Reject ``int`` fields that are not ints (bools included) and
-    ``float`` fields that are not finite ints or floats, on dataclasses
-    read from JSON."""
-    for params in objects:
-        for f in dataclasses.fields(params):
-            value = getattr(params, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (type(value) in (int, float)
-                                          and -math.inf < value < math.inf):
-                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+def check_field_types(obj) -> None:
+    """Reject ``int`` fields that are not ints (bools included), ``float``
+    fields that are not finite ints or floats and ``str`` fields that are
+    not strings, on a dataclass read from JSON."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not (type(value) in (int, float)
+                                      and -math.inf < value < math.inf):
+            raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type == "str" and type(value) is not str:
+            raise ConfigurationError(f"{f.name} must be a string, got {value!r}")
+
+
+#: What building a dataclass from a JSON value that does not fit it raises.
+MALFORMED = (KeyError, TypeError, IndexError, ValueError, OverflowError,
+             ConfigurationError)
+
+
+def from_json(cls, data: dict, **parsed):
+    """Dataclass ``cls`` from a JSON object keyed by its field names, with the
+    nested fields in ``parsed`` already built; omitted keys take the defaults,
+    unknown keys raise ``TypeError`` and field types are checked."""
+    obj = cls(**{**data, **parsed})
+    check_field_types(obj)
+    return obj
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``; ``what`` names the file in errors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+            raise ConfigurationError(f"{what} file is not valid JSON: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> SounderConfig:
-    """Inverse of :func:`config_to_dict`; numeric fields are type-checked."""
+    """Inverse of :func:`config_to_dict`; field types are checked."""
     try:
-        fields = dict(data)
-        zc = fields.pop("zc", None)
-        if zc is not None:
-            fields["zc"] = ZcParams(length=zc["length"], root=zc["root"])
-        cfg = SounderConfig(**fields)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        zc = {"zc": from_json(ZcParams, data["zc"])} if "zc" in data else {}
+        return from_json(SounderConfig, data, **zc)
+    except MALFORMED as exc:
         raise ConfigurationError(f"malformed sounder config: {exc}") from exc
-    check_field_types(cfg, cfg.zc)
-    return cfg
 
 
 def save_config(path, cfg: SounderConfig) -> None:
@@ -170,9 +189,4 @@ def save_config(path, cfg: SounderConfig) -> None:
 
 def load_config(path) -> SounderConfig:
     """Read a configuration written by :func:`save_config`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config"))

@@ -37,7 +37,7 @@ from scipy.special import diric
 
 from . import fixedpoint
 from .averager import Snapshot
-from .config import check_field_types
+from .config import MALFORMED, from_json, read_json
 from .errors import ConfigurationError, DegenerateWaveformError
 from .waveform import SoundingWaveform
 
@@ -242,8 +242,8 @@ def apply_calibration(
     """Divide a measured response, row by row, by the back-to-back reference.
 
     Occupied bins where the reference is weaker than the profile
-    threshold are zeroed and removed from the output mask (and
-    counted in a log record).
+    threshold are zeroed and removed from the output mask; the profile
+    logged their count when it was built or loaded.
     """
     mask = response.occupied_mask
     if not np.array_equal(mask, profile.reference.occupied_mask):
@@ -251,11 +251,7 @@ def apply_calibration(
             "response and calibration profile have differing occupied masks"
         )
     ref = profile.reference.bins
-    weak = mask & (np.abs(ref) < profile.threshold)
-    n_weak = int(np.count_nonzero(weak))
-    if n_weak:
-        _log.warning("calibration zeroed %d weak bins", n_weak)
-    good = mask & ~weak
+    good = mask & ~(np.abs(ref) < profile.threshold)
     bins = np.zeros_like(response.bins)
     bins[..., good] = response.bins[..., good] / ref[good]
     return FrequencyResponse(bins=bins, occupied_mask=good)
@@ -275,24 +271,30 @@ def calibration_to_dict(profile: CalibrationProfile) -> dict:
     }
 
 
-def calibration_from_dict(data: dict) -> CalibrationProfile:
-    """Inverse of :func:`calibration_to_dict`; numeric fields are type-checked."""
-    try:
-        size, occupied = data["fft_size"], data["occupied"]
-        if type(size) is not int or not all(type(k) is int and 0 <= k < size
+def _calibration(fft_size, threshold, occupied, real, imag) -> CalibrationProfile:
+    """The profile a calibration file holds; the parameters are its keys."""
+    if type(fft_size) is not int or not all(type(k) is int and 0 <= k < fft_size
                                             for k in occupied):
-            raise ConfigurationError(f"fft_size {size!r} and occupied bins must be "
-                                     "integers, bins in [0, fft_size)")
-        indices = np.asarray(occupied, dtype=np.int64)
-        bins = np.zeros(size, dtype=np.complex128)
-        bins[indices] = np.asarray(data["real"]) + 1j * np.asarray(data["imag"])
-        mask = np.zeros(size, dtype=bool)
-        mask[indices] = True
-        reference = FrequencyResponse(bins=bins, occupied_mask=mask)
-        profile = CalibrationProfile(reference=reference, threshold=data["threshold"])
-        check_field_types(profile)
-        return profile
-    except (KeyError, TypeError, IndexError, ValueError, ConfigurationError) as exc:
+        raise ConfigurationError(f"fft_size {fft_size!r} and occupied bins must be "
+                                 "integers, bins in [0, fft_size)")
+    if len(set(occupied)) != len(occupied):
+        raise ConfigurationError(f"occupied bins must be unique, got {occupied}")
+    if not (len(real) == len(imag) == len(occupied)
+            and all(type(v) in (int, float) for v in (*real, *imag))):
+        raise ConfigurationError("real and imag need one number per occupied bin")
+    bins = np.zeros(fft_size, dtype=np.complex128)
+    bins[occupied] = np.asarray(real) + 1j * np.asarray(imag)
+    mask = np.zeros(fft_size, dtype=bool)
+    mask[occupied] = True
+    return from_json(CalibrationProfile, {"threshold": threshold},
+                     reference=FrequencyResponse(bins=bins, occupied_mask=mask))
+
+
+def calibration_from_dict(data: dict) -> CalibrationProfile:
+    """Inverse of :func:`calibration_to_dict`; field types are checked."""
+    try:
+        return _calibration(**data)
+    except MALFORMED as exc:
         raise ConfigurationError(f"malformed calibration profile: {exc}") from exc
 
 
@@ -305,11 +307,4 @@ def save_calibration(path, profile: CalibrationProfile) -> None:
 
 def load_calibration(path) -> CalibrationProfile:
     """Read a profile written by :func:`save_calibration`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"calibration file is not valid JSON: {exc}"
-            ) from exc
-    return calibration_from_dict(data)
+    return calibration_from_dict(read_json(path, "calibration"))

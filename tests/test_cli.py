@@ -255,6 +255,29 @@ def test_capture_header_with_non_integer_count_exits_5(tmp_path, capsys, command
     assert key in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", 2**64), ("clipped_components", -3),
+])
+@pytest.mark.parametrize("command", ["report", "estimate"])
+def test_capture_header_with_out_of_range_count_exits_5(tmp_path, capsys, command,
+                                                        key, value):
+    # A negative seed or saturation count used to be reported as read.
+    err = _run_on_edited_header(tmp_path, capsys, command,
+                                lambda header: header.update({key: value}))
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prng", 5), ("created", None), ("channel_digest", []),
+], ids=["int-prng", "null-created", "list-digest"])
+@pytest.mark.parametrize("command", ["report", "estimate"])
+def test_capture_header_with_non_string_text_exits_5(tmp_path, capsys, command,
+                                                     key, value):
+    err = _run_on_edited_header(tmp_path, capsys, command,
+                                lambda header: header.update({key: value}))
+    assert f"{key} must be a string" in err["message"]
+
+
 @pytest.mark.parametrize("threshold", ["inf", "nan", "0"])
 def test_calibrate_rejects_threshold_outside_positive_finite(tmp_path, capsys,
                                                             threshold):
@@ -269,23 +292,15 @@ def test_calibrate_rejects_threshold_outside_positive_finite(tmp_path, capsys,
     assert "threshold must be positive and finite" in err["error"]["message"]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("threshold", True), ("threshold", "0.001"),
-    ("fft_size", 64.9), ("fft_size", True),
-    ("occupied", 1.0), ("occupied", -1),
-])
-def test_malformed_calibration_file_exits_3(tmp_path, capsys, field, value):
-    # A bool threshold used to read as 1.0 and a fractional fft_size was
-    # truncated; a float or negative bin index used to be read as another bin.
+def _estimate_with_edited_profile(tmp_path, capsys, edit):
+    """Calibrate from a fresh capture, rewrite the profile's JSON with
+    ``edit`` and check that ``estimate`` rejects it with exit code 3."""
     path = _simulated_capture(tmp_path, capsys)
     cal_path = tmp_path / "cal.json"
     assert main(["calibrate", str(path), "--out", str(cal_path)]) == 0
     capsys.readouterr()
     profile = json.loads(cal_path.read_text())
-    if field == "occupied":
-        profile["occupied"][1] = value  # one bin of the list
-    else:
-        profile[field] = value
+    edit(profile)
     cal_path.write_text(json.dumps(profile))
     out = tmp_path / "resp.csv"
     assert main(["estimate", str(path), "--kind", "response",
@@ -295,6 +310,42 @@ def test_malformed_calibration_file_exits_3(tmp_path, capsys, field, value):
     err = json.loads(captured.err)
     assert err["error"]["category"] == "validation"
     assert "malformed calibration profile" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threshold", True), ("threshold", "0.001"),
+    ("fft_size", 64.9), ("fft_size", True),
+    ("occupied", 1.0), ("occupied", -1),
+])
+def test_malformed_calibration_file_exits_3(tmp_path, capsys, field, value):
+    # A bool threshold used to read as 1.0 and a fractional fft_size was
+    # truncated; a float or negative bin index used to be read as another bin.
+    def edit(profile):
+        if field == "occupied":
+            profile["occupied"][1] = value  # one bin of the list
+        else:
+            profile[field] = value
+    _estimate_with_edited_profile(tmp_path, capsys, edit)
+
+
+def _repeat_first_bin(profile):
+    for key in ("occupied", "real", "imag"):
+        profile[key].append(profile[key][0])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda p: p.update(real=[True, *p["real"][1:]]), id="bool-real"),
+    pytest.param(lambda p: p.update(real=p["real"][:1], imag=p["imag"][:1]),
+                 id="one-element-real-imag"),
+    pytest.param(_repeat_first_bin, id="repeated-bin"),
+    pytest.param(lambda p: p.update(extra=1), id="extra-key"),
+])
+def test_calibration_file_that_does_not_match_its_bins_exits_3(tmp_path, capsys,
+                                                               edit):
+    # Each of these used to load: a bool read as 1.0, one value was
+    # broadcast over every bin, a repeated bin kept its last value and
+    # an unknown key was ignored.
+    _estimate_with_edited_profile(tmp_path, capsys, edit)
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -360,6 +411,14 @@ def test_every_command_applies_the_frame_and_period_rules(tmp_path, capsys,
                  '"interferers": [{"freq": "0.1", "amplitude": 0.5}]}',
                  id="str-freq"),
     pytest.param('{"taps": [{"delay": 0, "gain": [true, 0]}]}', id="bool-gain"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], "noise_sdt": 0.01}',
+                 id="misspelt-noise"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0], "phase": 1}]}',
+                 id="extra-tap-key"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0]}], '
+                 '"interferers": [{"freq": 0.1, "amplitude": 0.5, "phaze": 1}]}',
+                 id="misspelt-phase"),
+    pytest.param('{"taps": [{"delay": 0, "gain": [1, 0, 5]}]}', id="three-part-gain"),
 ])
 def test_malformed_channel_file_exits_3(tmp_path, capsys, text):
     _, config_path, _ = _write_inputs(tmp_path)

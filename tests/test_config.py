@@ -94,3 +94,23 @@ def test_malformed_config_files(tmp_path):
     path.write_text('{"no_such_field": 1}')
     with pytest.raises(ConfigurationError, match="malformed"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[]", id="top-level-array"),
+    pytest.param('{"zc": null}', id="null-zc"),
+    pytest.param('{"zc": {"length": 51, "root": 2, "rooot": 3}}', id="unknown-zc-key"),
+])
+def test_config_file_that_is_not_a_config_object_is_rejected(tmp_path, text):
+    # The array and the null zc used to load as the default config.
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="malformed sounder config"):
+        load_config(path)
+
+
+def test_config_file_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"num_snapshots": 4, "x": "\xff"}')
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        load_config(path)

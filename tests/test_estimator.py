@@ -10,6 +10,7 @@ from soundersim.channel import ChannelModel, Interferer, apply_channel
 from soundersim.config import SounderConfig
 from soundersim.errors import ConfigurationError, DegenerateWaveformError
 from soundersim.estimator import (
+    CalibrationProfile,
     FrequencyResponse,
     apply_calibration,
     averaging_suppression,
@@ -369,6 +370,24 @@ def test_calibration_file_round_trip(tmp_path):
     assert np.array_equal(back.reference.bins, profile.reference.bins)
     assert np.array_equal(back.reference.occupied_mask,
                           profile.reference.occupied_mask)
+
+
+def test_weak_reference_bins_are_logged_once_per_command(tmp_path, caplog):
+    # Loading and applying a profile used to warn twice about the same bin.
+    mask = np.array([True, True, True, False])
+    bins = np.array([1.0, 1e-4, 2.0, 0.0], dtype=np.complex128)
+    path = tmp_path / "cal.json"
+    save_calibration(path, CalibrationProfile(
+        reference=FrequencyResponse(bins=bins, occupied_mask=mask)))
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="soundersim"):
+        profile = load_calibration(path)
+        out = apply_calibration(FrequencyResponse(bins=2 * bins, occupied_mask=mask),
+                                profile)
+    assert [r.getMessage() for r in caplog.records] == [
+        "calibration reference has 1 occupied bins below 1.000e-03"]
+    assert np.array_equal(out.occupied_mask, [True, False, True, False])
+    assert np.array_equal(out.bins, [2.0, 0.0, 2.0, 0.0])
 
 
 def test_malformed_calibration_file(tmp_path):

@@ -7,9 +7,13 @@ import re
 from pathlib import Path
 
 import soundersim
+from soundersim.channel import load_channel
+from soundersim.config import load_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.M | re.S)
+JSON_FILES = dict(re.findall(r"^cat > (\w+\.json) <<'EOF'\n(.*?)^EOF$", README,
+                             flags=re.M | re.S))
 
 
 def test_python_blocks_print_their_commented_output():
@@ -35,3 +39,15 @@ def test_readme_imports_are_package_exports():
         for name in (n.strip() for n in names.split(",")):
             assert hasattr(importlib.import_module(f"soundersim.{module}"), name)
             assert name in soundersim.__all__, name
+
+
+def test_walkthrough_json_files_load(tmp_path):
+    # A walkthrough file the strict readers reject would fail for every
+    # reader who copies it.
+    loaders = {"config.json": load_config, "channel.json": load_channel,
+               "cable.json": load_channel}
+    assert set(JSON_FILES) == set(loaders)
+    for name, text in JSON_FILES.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        loaders[name](path)
