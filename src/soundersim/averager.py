@@ -246,17 +246,10 @@ def select_and_average(
             f"got {len(stream)}"
         )
     window = stream[config.discard_len : config.window_len]
-    shape = (config.avg_count, config.signal_len)
+    words = np.ravel(window).view("<i2").reshape(config.avg_count, -1)
     # int16 >> stays int16 and the sum fits by the avg_count <= 2**shift
     # invariant, so accumulating in int16 is exact (never wraps).
-    acc_i = (window["i"] >> config.shift_bits).reshape(shape).sum(
-        axis=0, dtype=np.int16
-    )
-    acc_q = (window["q"] >> config.shift_bits).reshape(shape).sum(
-        axis=0, dtype=np.int16
-    )
-    data = np.empty(config.signal_len, dtype=SAMPLE_DTYPE)
-    data["i"] = acc_i
-    data["q"] = acc_q
+    acc = (words >> config.shift_bits).sum(axis=0, dtype=np.int16)
+    data = acc.astype("<i2", copy=False).view(SAMPLE_DTYPE)
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)
 

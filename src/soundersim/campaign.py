@@ -76,7 +76,7 @@ _PROLOGUE = struct.Struct("<4sHI")
 
 @dataclass
 class Capture:
-    """All snapshots of one campaign plus their provenance.
+    """All ``config.num_snapshots`` snapshots of one campaign, with provenance.
 
     ``channel_digest`` fingerprints the channel model file so captures
     can be traced back to the exact propagation scenario; ``created``
@@ -93,6 +93,12 @@ class Capture:
     created: str
     clipped_components: int
     snapshots: list[Snapshot]
+
+    def __post_init__(self) -> None:
+        if len(self.snapshots) != self.config.num_snapshots:
+            raise ConfigurationError(
+                f"config num_snapshots {self.config.num_snapshots} does not "
+                f"match the {len(self.snapshots)} snapshots held")
 
     @property
     def payload_bytes(self) -> int:
@@ -279,11 +285,6 @@ def read_capture(path) -> Capture:
         if not 0 <= header[key] < bound:
             raise CaptureFormatError(
                 f"capture header {key} must be in [0, {bound}), got {header[key]}")
-    try:
-        capture = from_json(Capture, meta, config=cfg, snapshots=[])
-    except ConfigurationError as exc:
-        raise CaptureFormatError(f"capture header {exc}") from exc
-
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes
     payload = memoryview(raw)[header_end:]
@@ -297,6 +298,9 @@ def read_capture(path) -> Capture:
     except ValueError as exc:
         raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
     acfg = cfg.averager_config()
-    capture.snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
-                         for k, row in enumerate(data)]
-    return capture
+    snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
+                 for k, row in enumerate(data)]
+    try:
+        return from_json(Capture, meta, config=cfg, snapshots=snapshots)
+    except ConfigurationError as exc:
+        raise CaptureFormatError(f"capture header {exc}") from exc

@@ -76,8 +76,8 @@ def _response_block(capture: Capture, calibration_path: str | None = None):
     """The capture's responses as one ``(N, signal_len)`` block, one per row."""
     cfg = capture.config
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    data = np.array([snap.data for snap in capture.snapshots],
-                    dtype=SAMPLE_DTYPE).reshape(-1, cfg.signal_len)
+    data = np.array([snap.data.view(np.uint32) for snap in capture.snapshots],
+                    dtype=np.uint32).reshape(-1, cfg.signal_len).view(SAMPLE_DTYPE)
     block = estimate_response(
         Snapshot(data=data, snapshot_index=0, config=cfg.averager_config()), wf)
     if calibration_path:

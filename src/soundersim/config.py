@@ -33,6 +33,21 @@ def exact_ratio(numerator: float, denominator: float) -> int | None:
     return nearest
 
 
+def frame_length(rep_period_s: float, sample_period_s: float,
+                 error=ConfigurationError) -> int:
+    """Samples per repetition period; raises ``error`` unless both periods
+    are positive and the repetition period is a whole number of samples."""
+    if rep_period_s <= 0 or sample_period_s <= 0:
+        raise error("periods must be positive")
+    ratio = exact_ratio(rep_period_s, sample_period_s)
+    if ratio is None:
+        raise error(
+            f"rep_period {rep_period_s} s is not a whole number of "
+            f"{sample_period_s} s samples"
+        )
+    return ratio
+
+
 @dataclass(frozen=True)
 class SounderConfig:
     """Complete parameter set of one sounding run.
@@ -76,31 +91,23 @@ class SounderConfig:
             raise ConfigurationError(
                 f"num_snapshots must be >= 0, got {self.num_snapshots}"
             )
-        if self.rep_period_s <= 0 or self.sample_period_s <= 0:
-            raise ConfigurationError("periods must be positive")
+        frame_len = frame_length(self.rep_period_s, self.sample_period_s)
         if self.center_freq_hz <= 0:
             raise ConfigurationError(
                 f"center_freq_hz must be positive, got {self.center_freq_hz}"
             )
-        if exact_ratio(self.rep_period_s, self.sample_period_s) is None:
-            raise ConfigurationError(
-                f"rep_period {self.rep_period_s} s is not a whole number of "
-                f"{self.sample_period_s} s samples"
-            )
         reps = self.train_repetitions
         train = reps * self.signal_len
-        if train > self.frame_len:
+        if train > frame_len:
             raise ConfigurationError(
                 f"repetition train of {reps} x {self.signal_len} samples "
-                f"({train}) does not fit in a {self.frame_len}-sample frame"
+                f"({train}) does not fit in a {frame_len}-sample frame"
             )
 
     @property
     def frame_len(self) -> int:
         """Samples per trigger period."""
-        ratio = exact_ratio(self.rep_period_s, self.sample_period_s)
-        assert ratio is not None  # enforced at construction
-        return ratio
+        return frame_length(self.rep_period_s, self.sample_period_s)
 
     @property
     def skip_len(self) -> int:

@@ -12,7 +12,10 @@ without re-deriving scaling rules:
 
 Samples travel as numpy structured arrays of :data:`SAMPLE_DTYPE`, which
 is also the exact byte layout used on disk: little-endian I then Q,
-four bytes per sample.
+four bytes per sample.  I/Q arithmetic runs in one pass over the
+interleaved ``'<i2'`` view (I, Q, I, Q, ...), whole records copy as
+``uint32`` words (numpy copies structured records field by field, many
+times slower), and the named fields are for building samples.
 """
 
 from __future__ import annotations
@@ -67,9 +70,8 @@ def to_float(samples: np.ndarray) -> np.ndarray:
     Exact: every representable sample has an exact float image, so
     ``quantize(to_float(s)) == s`` for all s.
     """
-    out = np.empty(samples.shape, dtype=np.complex128)
-    np.multiply(samples["i"], LSB, out=out.real)
-    np.multiply(samples["q"], LSB, out=out.imag)
+    out = np.empty(np.shape(samples), dtype=np.complex128)
+    np.multiply(np.ravel(samples).view("<i2"), LSB, out=out.reshape(-1).view(np.float64))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import exact_ratio
+from .config import exact_ratio, frame_length
 from .errors import SchedulingError
 
 
@@ -39,15 +39,9 @@ class PpsSchedule:
     timing_error: int = 0
 
     def __post_init__(self) -> None:
-        if self.rep_period_s <= 0 or self.sample_period_s <= 0:
-            raise SchedulingError("periods must be positive")
+        frame_length(self.rep_period_s, self.sample_period_s, SchedulingError)
         if self.tx_start_flank < 0 or self.rx_start_flank < 0:
             raise SchedulingError("flank indices must be >= 0")
-        if exact_ratio(self.rep_period_s, self.sample_period_s) is None:
-            raise SchedulingError(
-                f"rep_period {self.rep_period_s} s is not a whole number of "
-                f"{self.sample_period_s} s samples"
-            )
         if exact_ratio(1.0, self.rep_period_s) is None:
             raise SchedulingError(
                 f"rep_period {self.rep_period_s} s does not divide 1 s: "
@@ -57,9 +51,7 @@ class PpsSchedule:
     @property
     def frame_len(self) -> int:
         """Samples per repetition period."""
-        ratio = exact_ratio(self.rep_period_s, self.sample_period_s)
-        assert ratio is not None  # enforced at construction
-        return ratio
+        return frame_length(self.rep_period_s, self.sample_period_s, SchedulingError)
 
 
 def receiver_offset(schedule: PpsSchedule) -> int:

@@ -103,13 +103,12 @@ class SoundingWaveform:
 
 
 def build_sounding_symbol(
-    zc, fft_size: int = 1024, backoff: float = 0.5
+    zc: ZcParams, fft_size: int = 1024, backoff: float = 0.5
 ) -> SoundingWaveform:
-    """Place a sounding sequence on centered subcarriers and scale it.
+    """Place a Zadoff-Chu sequence on centered subcarriers and scale it.
 
     Args:
-        zc: :class:`ZcParams` (the sequence is generated) or an explicit
-            complex sequence; its length is the number of occupied bins.
+        zc: sequence parameters; its length is the number of occupied bins.
         fft_size: DFT length and samples per symbol.
         backoff: peak I/Q amplitude of the time signal as a fraction of
             full scale.  Must be in (0, 1].
@@ -122,9 +121,7 @@ def build_sounding_symbol(
         raise ConfigurationError(f"fft_size must be >= 1, got {fft_size}")
     if not 0.0 < backoff <= 1.0:
         raise ConfigurationError(f"backoff must be in (0, 1], got {backoff}")
-    sequence = generate_zc(zc) if isinstance(zc, ZcParams) else np.asarray(
-        zc, dtype=np.complex128
-    )
+    sequence = generate_zc(zc)
     bins = np.zeros(fft_size, dtype=np.complex128)
     indices = occupied_bins(len(sequence), fft_size)
     bins[indices] = sequence

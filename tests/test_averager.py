@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soundersim import fixedpoint as fp
 from soundersim.averager import (
@@ -79,6 +81,36 @@ def test_streaming_matches_batch_bit_for_bit():
         batch = select_and_average(stream, cfg)
         streamed = run_state_machine(stream, cfg)
         assert np.array_equal(batch.data, streamed.data), shape
+
+
+#: int16 components biased to the rails and to +-1, where a floor shift
+#: or an int16 sum would show a wrap or an off-by-one.
+_COMPONENTS = st.one_of(
+    st.sampled_from([fp.INT_MIN, fp.INT_MIN + 1, -1, 0, 1, fp.INT_MAX - 1, fp.INT_MAX]),
+    st.integers(fp.INT_MIN, fp.INT_MAX),
+)
+
+
+@st.composite
+def _averager_cases(draw):
+    shift = draw(st.integers(0, 15))
+    cfg = AveragerConfig(signal_len=2 * draw(st.integers(1, 32)),
+                         discard_len=2 * draw(st.integers(0, 8)),
+                         avg_count=draw(st.integers(1, min(2**shift, 8))),
+                         shift_bits=shift)
+    count = cfg.window_len + draw(st.integers(0, 4))
+    parts = draw(arrays(np.int16, (count, 2), elements=_COMPONENTS))
+    stream = fp.from_components(parts[:, 0], parts[:, 1])
+    if draw(st.booleans()):
+        stream = np.repeat(stream, 2)[::2]  # the same samples as a strided view
+    return stream, cfg
+
+
+@given(_averager_cases())
+def test_vectorized_matches_state_machine_bytes(case):
+    stream, cfg = case
+    assert (select_and_average(stream, cfg).data.tobytes()
+            == run_state_machine(stream, cfg).data.tobytes())
 
 
 def test_state_machine_phase_walk():

@@ -1,5 +1,6 @@
 """Campaign orchestration and the capture file format."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -20,7 +21,7 @@ from soundersim.campaign import (
 )
 from soundersim.channel import ChannelModel, Interferer, apply_channel, propagate_float
 from soundersim.config import SounderConfig
-from soundersim.errors import CaptureFormatError, ValidationError
+from soundersim.errors import CaptureFormatError, ConfigurationError, ValidationError
 from soundersim.fixedpoint import quantize_clipped
 from soundersim.sync import PpsSchedule
 from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame
@@ -373,6 +374,15 @@ def test_capture_file_round_trip(tmp_path):
         assert np.array_equal(a.data, b.data)
         assert a.snapshot_index == b.snapshot_index
         assert b.data.flags.writeable
+
+
+def test_capture_must_hold_num_snapshots(tmp_path):
+    # The header's config could otherwise contradict the payload it describes.
+    capture = run_campaign(_small_config(), _small_channel(), created=CREATED)
+    path = tmp_path / "short.capture"
+    with pytest.raises(ConfigurationError, match="num_snapshots 3 does not match the 2"):
+        write_capture(path, dataclasses.replace(capture, snapshots=capture.snapshots[:-1]))
+    assert not path.exists()
 
 
 def test_capture_bytes_are_reproducible(tmp_path):

@@ -27,7 +27,7 @@ from soundersim.sync import PpsSchedule, receiver_offset
 from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame
 
 CREATED = "2026-03-01T12:00:00+00:00"
-SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+SETTINGS = settings(max_examples=60)
 
 
 def _plain_propagate(tx, model, start_index, rng):

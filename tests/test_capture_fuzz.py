@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from soundersim.campaign import read_capture, run_campaign, write_capture
 from soundersim.channel import ChannelModel
@@ -85,7 +85,6 @@ def _read(path, data: bytes) -> None:
     assert capture.payload_bytes == len(data) - PROLOGUE.size - header_len
 
 
-@settings(derandomize=True, deadline=None)
 @given(cut=st.integers(0, len(VALID) - 1))
 def test_truncated_capture_is_a_format_error(capture_path, cut):
     capture_path.write_bytes(VALID[:cut])
@@ -93,7 +92,6 @@ def test_truncated_capture_is_a_format_error(capture_path, cut):
         read_capture(capture_path)
 
 
-@settings(derandomize=True, deadline=None)
 @given(flips=st.lists(st.tuples(st.integers(0, PROLOGUE.size + HEADER_LEN - 1),
                                 st.integers(0, 7)), min_size=1, max_size=8))
 def test_bit_flips_in_prologue_or_header(capture_path, flips):
@@ -103,7 +101,6 @@ def test_bit_flips_in_prologue_or_header(capture_path, flips):
     _read(capture_path, bytes(data))
 
 
-@settings(derandomize=True, deadline=None)
 @given(mutations=st.lists(st.tuples(st.sampled_from(PATHS),
                                     st.sampled_from(["delete", "float", "set"]),
                                     JSON_VALUES), min_size=1, max_size=3),

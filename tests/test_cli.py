@@ -213,8 +213,8 @@ def _run_on_edited_header(tmp_path, capsys, command, edit):
     path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
                      + raw[10 + header_len:])
     args = [command, str(path)]
-    if command == "estimate":
-        args += ["--out", str(tmp_path / "pdp.csv")]
+    if command != "report":
+        args += ["--out", str(tmp_path / "out")]
     assert main(args) == 5
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["category"] == "format"
@@ -228,13 +228,15 @@ def _run_on_edited_header(tmp_path, capsys, command, edit):
     pytest.param({"center_freq_hz": float("nan")}, id="nan"),
     pytest.param({"tx_power_dbm": float("inf")}, id="inf"),
     pytest.param({"backoff": True}, id="bool-backoff"),
+    pytest.param({"num_snapshots": 99}, id="count-mismatch"),
 ])
-@pytest.mark.parametrize("command", ["report", "estimate"])
+@pytest.mark.parametrize("command", ["report", "estimate", "calibrate"])
 def test_capture_header_with_bad_config_exits_5(tmp_path, capsys, command,
                                                 fields):
     # An odd signal_len breaks a config constraint; a float one used to
     # pass and crash the estimator with a TypeError.  The float fields
-    # used to take strings, bools and non-finite values.
+    # used to take strings, bools and non-finite values, and a config
+    # could claim more snapshots than the payload holds.
     err = _run_on_edited_header(tmp_path, capsys, command,
                                 lambda header: header["config"].update(fields))
     assert any(name in err["message"] for name in fields)
@@ -276,6 +278,23 @@ def test_capture_header_with_non_string_text_exits_5(tmp_path, capsys, command,
     err = _run_on_edited_header(tmp_path, capsys, command,
                                 lambda header: header.update({key: value}))
     assert f"{key} must be a string" in err["message"]
+
+
+def test_empty_capture_estimates_no_rows_and_cannot_calibrate(tmp_path, capsys):
+    _, config_path, channel_path = _write_inputs(tmp_path, snapshots=0)
+    path = tmp_path / "empty.capture"
+    assert main(["simulate", "--config", config_path, "--channel", channel_path,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    for kind in ("pdp", "cir", "response"):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["estimate", str(path), "--kind", kind, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 0
+        assert len(out.read_text().splitlines()) == 1  # the header row only
+    cal_path = tmp_path / "cal.json"
+    assert main(["calibrate", str(path), "--out", str(cal_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["category"] == "validation"
+    assert not cal_path.exists()
 
 
 @pytest.mark.parametrize("threshold", ["inf", "nan", "0"])

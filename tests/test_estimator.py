@@ -1,5 +1,7 @@
 """Frequency response, impulse response, tap readout and calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,7 +287,10 @@ def test_estimate_rejects_mismatched_sizes():
 
 
 def test_estimate_rejects_degenerate_waveform():
-    wf = build_sounding_symbol(np.array([1.0, 0.0, 1.0]), fft_size=8)
+    wf = build_sounding_symbol(ZcParams(3, 2), fft_size=8)
+    bins = wf.freq_bins.copy()
+    bins[np.flatnonzero(wf.occupied_mask)[1]] = 0
+    wf = dataclasses.replace(wf, freq_bins=bins)
     snap = Snapshot(
         data=np.zeros(8, fp.SAMPLE_DTYPE), snapshot_index=0,
         config=AveragerConfig(signal_len=8, discard_len=0, avg_count=1,

@@ -134,7 +134,7 @@ def _same(a, b) -> bool:
 def test_load_inverts_save(kind):
     strategy, save, load, _ = FORMATS[kind]
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(strategy)
     def check(obj):
         with tempfile.TemporaryDirectory() as tmp:
@@ -149,7 +149,7 @@ def test_load_inverts_save(kind):
 def test_renamed_or_added_key_is_rejected(kind):
     strategy, _, load, to_dict = FORMATS[kind]
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(obj=strategy, data=st.data())
     def check(obj, data):
         fields = to_dict(obj)

@@ -46,6 +46,25 @@ def test_to_float_examples():
     assert fp.to_float(fp.from_components(-32768, 16384)) == -1.0 + 0.5j
 
 
+def _random_samples(shape, seed=11):
+    rng = np.random.default_rng(seed)
+    return fp.from_components(rng.integers(-32768, 32768, shape),
+                              rng.integers(-32768, 32768, shape))
+
+
+@pytest.mark.parametrize("samples", [
+    pytest.param(fp.from_components(-32768, 32767), id="0-d"),
+    pytest.param(_random_samples(17), id="1-d"),
+    pytest.param(_random_samples((4, 6)), id="N-by-L"),
+    pytest.param(_random_samples(17)[::3], id="strided-1-d"),
+    pytest.param(_random_samples((4, 6))[::2, 1::2], id="strided-N-by-L"),
+])
+def test_to_float_is_componentwise_and_keeps_shape(samples):
+    out = fp.to_float(samples)
+    assert out.shape == samples.shape and out.dtype == np.complex128
+    assert np.array_equal(out, samples["i"] * fp.LSB + 1j * samples["q"] * fp.LSB)
+
+
 def test_quantize_to_float_identity_exhaustive():
     # Every representable component must round-trip, including -32768.
     codes = np.arange(-32768, 32768, dtype=np.int64)

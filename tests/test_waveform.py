@@ -104,7 +104,7 @@ def test_symbol_occupied_bandwidth():
 
 
 def test_single_bin_symbol_is_constant():
-    wf = build_sounding_symbol(np.array([1.0 + 0j]), 8, 0.5)
+    wf = build_sounding_symbol(ZcParams(1, 1), 8, 0.5)
     assert np.abs(wf.time_signal - wf.time_signal[0]).max() < 1e-15
 
 
