@@ -116,7 +116,12 @@ def _timestamp(created: str | None) -> str:
         return created
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ConfigurationError(
+                f"SOURCE_DATE_EPOCH must be a Unix time in whole seconds, got {epoch!r}"
+            ) from exc
     else:
         stamp = datetime.now(tz=timezone.utc)
     return stamp.isoformat(timespec="seconds")

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import diric
 
 from . import fixedpoint
 from .averager import Snapshot
@@ -186,12 +185,15 @@ def averaging_suppression(
     A tone at ``f`` cycles/sample advances ``f * signal_len`` cycles
     between averaged symbols; summing ``avg_count`` rotated copies
     scales its amplitude by \\|sin(pi f L M) / (M sin(pi f L))\\| -- the
-    periodic-sinc magnitude, 1.0 when the tone is symbol-periodic.
+    periodic-sinc magnitude.  It is 1.0 when the tone is symbol-periodic,
+    taken as \\|sin(pi f L)\\| < 1e-7, the usual float64 Dirichlet cutoff.
     """
     if avg_count < 1:
         raise ConfigurationError(f"avg_count must be >= 1, got {avg_count}")
-    return float(abs(diric(2.0 * np.pi * freq_cycles_per_sample * signal_len,
-                           avg_count)))
+    half = math.pi * freq_cycles_per_sample * signal_len
+    if abs(math.sin(half)) < 1e-7:
+        return 1.0
+    return abs(math.sin(avg_count * half) / (avg_count * math.sin(half)))
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,22 @@ def test_flank_choice_leaves_capture_bytes_unchanged(tmp_path, capsys,
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+def test_malformed_source_date_epoch_exits_3(tmp_path, capsys, monkeypatch,
+                                              epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    _, config_path, channel_path = _write_inputs(tmp_path)
+    out = tmp_path / "run.capture"
+    assert main(["simulate", "--config", config_path, "--channel", channel_path,
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["category"] == "validation"
+    assert "SOURCE_DATE_EPOCH" in err["message"]
+    assert not out.exists()
+
+
 def test_estimate_pdp_csv(tmp_path, capsys):
     cfg, config_path, channel_path = _write_inputs(
         tmp_path, taps=((5, 1.0), (30, 0.5j)))

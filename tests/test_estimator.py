@@ -205,6 +205,24 @@ def test_averaging_suppression_edge_cases():
         averaging_suppression(0.1, 1024, 0)
 
 
+def test_averaging_suppression_matches_scipy_diric():
+    from scipy.special import diric  # the oracle; scipy is a dev dependency
+    rng = np.random.default_rng(31)
+    cases = [(float(f), int(length))
+             for f, length in zip(rng.uniform(-0.5, 0.5, 200),
+                                  rng.integers(1, 4097, 200))]
+    for length in range(1, 33):
+        for k in range(-length // 2, length // 2 + 1):
+            cases.append((k / length, length))
+            for eps in (1e-9, -1e-9, 1e-12):
+                cases.append((k / length + eps, length))
+    for f, length in cases:
+        for count in (1, 2, 64, 1000):
+            oracle = float(abs(diric(2 * np.pi * f * length, count)))
+            assert averaging_suppression(f, length, count) == oracle, (
+                f, length, count)
+
+
 def _synthetic_cir(delays, gains, mask):
     size = len(mask)
     k = np.arange(size)
