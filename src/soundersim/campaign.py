@@ -155,7 +155,11 @@ def run_campaign(
             at the schedule's timing error.
         SchedulingError: no schedule is given and the config's period
             does not divide one second.
+        ConfigurationError: ``created`` is not given and
+            ``SOURCE_DATE_EPOCH`` is malformed; raised before any
+            snapshot is simulated.
     """
+    created = _timestamp(created)
     if schedule is None:
         schedule = PpsSchedule(
             rep_period_s=cfg.rep_period_s, sample_period_s=cfg.sample_period_s
@@ -207,7 +211,7 @@ def run_campaign(
         channel_digest=channel_digest(model),
         prng="pcg64-window",
         seed=model.seed,
-        created=_timestamp(created),
+        created=created,
         clipped_components=clipped,
         snapshots=snapshots,
     )

@@ -406,6 +406,20 @@ def test_source_date_epoch_pins_the_timestamp(tmp_path, monkeypatch):
     assert pinned.created == CREATED
 
 
+@pytest.mark.parametrize("model", [ChannelModel(taps=((0, 1.0),)),
+                                   _small_channel(noise_std=0.02)],
+                         ids=["static", "noisy"])
+def test_malformed_source_date_epoch_fails_before_simulating(monkeypatch, model):
+    def simulated(*args, **kwargs):
+        raise AssertionError("the channel ran before the timestamp was resolved")
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    monkeypatch.setattr(campaign, "convolve_taps", simulated)
+    monkeypatch.setattr(campaign, "apply_channel", simulated)
+    with pytest.raises(ConfigurationError, match="SOURCE_DATE_EPOCH"):
+        run_campaign(_small_config(), model)
+
+
 def _write_valid_capture(tmp_path):
     cfg = _small_config(num_snapshots=2)
     capture = run_campaign(cfg, ChannelModel(taps=((0, 1.0),)),

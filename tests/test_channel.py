@@ -1,5 +1,13 @@
 """Tapped delay line channel, noise, interferers and feasibility checks."""
 
+import os
+import platform
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +15,7 @@ from soundersim import fixedpoint as fp
 from soundersim.channel import (
     ChannelModel,
     Interferer,
+    add_interference_and_noise,
     apply_channel,
     channel_digest,
     channel_from_dict,
@@ -18,6 +27,8 @@ from soundersim.channel import (
 )
 from soundersim.config import SounderConfig
 from soundersim.errors import ConfigurationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _random_samples(rng, count, scale=8192):
@@ -51,16 +62,91 @@ def test_interferer_alone_matches_tone_oracle():
 
 def test_chunked_interferer_phase_is_seamless():
     model = ChannelModel(taps=((0, 1.0),),
-                         interferers=(Interferer(freq=0.0137, amplitude=0.1),))
+                         interferers=(Interferer(freq=0.0137, amplitude=0.1),
+                                      Interferer(freq=-0.3, amplitude=0.2, phase=1.0)))
     rng = np.random.default_rng(8)
     tx = _random_samples(rng, 600)
-    whole = propagate_float(tx, model)
-    parts = np.concatenate([
-        propagate_float(tx[:200], model, start_index=0)[:200],
-        propagate_float(tx[200:400], model, start_index=200)[:200],
-        propagate_float(tx[400:], model, start_index=400),
-    ])
-    assert np.allclose(whole, parts, rtol=0, atol=1e-12)
+    # Cuts inside 256-sample rows, at the origin, one hour in (snapshot
+    # 720,000 of the default 2.5 M-sample frame) and before index 0.
+    for start, cuts in ((0, (200, 400)), (720_000 * 2_500_000 - 107, (200, 389)),
+                        (-300, (1, 301, 555))):
+        whole = propagate_float(tx, model, start_index=start)
+        bounds = [0, *cuts, len(tx)]
+        parts = np.concatenate([propagate_float(tx[a:b], model, start_index=start + a)
+                                for a, b in zip(bounds, bounds[1:])])
+        assert np.array_equal(whole, parts)
+
+
+#: pi to 60 digits, for the exact-phase tone oracle.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _exact_tone(tone, n):
+    """``A·exp(i(2π·frac(f·n) + φ))`` with the fraction exact, to about 1e-40."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        cycles = Fraction(tone.freq) * n % 1
+        angle = (2 * _PI * cycles.numerator / cycles.denominator
+                 + Decimal(tone.phase)).remainder_near(2 * _PI)
+        parts = [Decimal(0), Decimal(0)]  # cos, sin by their Taylor series
+        term, k = Decimal(1), 0
+        while abs(term) > Decimal("1e-45"):
+            parts[k % 2] += term if k % 4 < 2 else -term
+            k += 1
+            term *= angle / k
+        amplitude = Decimal(tone.amplitude)
+        return complex(float(amplitude * parts[0]), float(amplitude * parts[1]))
+
+
+@pytest.mark.parametrize("tone", [
+    Interferer(freq=0.1234567, amplitude=0.1),
+    Interferer(freq=0.0137, amplitude=0.25, phase=0.4),
+    Interferer(freq=-0.3, amplitude=1.0, phase=-2.5),
+    Interferer(freq=0.5, amplitude=0.05, phase=3.0),
+], ids=["0.1234567", "0.0137", "-0.3", "0.5"])
+@pytest.mark.parametrize("k", [1, 1000, 720_000])
+def test_tone_matches_exact_phase_oracle(tone, k):
+    # Snapshot k's propagated window in the default configuration; at
+    # k = 720,000 (one hour) n is about 1.8e12.
+    start = k * SounderConfig().frame_len - 107
+    model = ChannelModel(taps=((0, 0.0),), interferers=(tone,))
+    out = add_interference_and_noise(np.zeros(67_798, np.complex128), model,
+                                     start_index=start)
+    picks = np.random.default_rng(k).choice(len(out), 300, replace=False)
+    error = max(abs(out[j] - _exact_tone(tone, start + int(j)))
+                for j in [0, len(out) - 1, *picks])
+    assert error <= 4e-15 * tone.amplitude
+
+
+def test_tone_bytes_do_not_depend_on_the_cpu_dispatch_level():
+    # numpy picks SIMD loops by CPU at import; the tone's complex
+    # products are real ufunc calls, so every level must give one digest.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the dispatch levels below are x86 feature groups")
+    code = (
+        "import hashlib, numpy as np\n"
+        "from soundersim.channel import ChannelModel, Interferer, "
+        "add_interference_and_noise\n"
+        "tones = (Interferer(0.1234567, 0.3, 0.7), Interferer(-0.0137, 0.5, -2.0),\n"
+        "         Interferer(0.5, 0.1), Interferer(3e-9, 0.2, 1.0))\n"
+        "digest = hashlib.sha256()\n"
+        "for start in (-107, 2_500_000 - 107, 720_000 * 2_500_000 - 107):\n"
+        "    out = np.zeros(20_000, np.complex128)\n"
+        "    add_interference_and_noise(out, ChannelModel(taps=((0, 0.0),), "
+        "interferers=tones), start_index=start)\n"
+        "    digest.update(out.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    digests = {}
+    for level in ("", "X86_V4", "X86_V4 X86_V3"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=level)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests[level] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_propagation_is_linear_in_gains():
