@@ -14,7 +14,6 @@ stderr so callers can parse failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -58,18 +57,31 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+#: Rows spelled and written at a time; larger blocks raise peak memory.
+EMIT_BLOCK_ROWS = 4096
+
+
 def _emit(columns: dict[str, np.ndarray], out_path: str, fmt: str) -> None:
-    """Write equal-length columns as CSV with a header row, or JSON-lines."""
+    """Write equal-length columns as CSV with a header row, or JSON-lines.
+
+    Each block of a column is spelled at once, with the tokens that
+    ``csv.writer`` and ``json.dumps`` write: ``repr`` of each value, or in
+    JSON-lines ``json.dumps`` for a block holding a non-finite float
+    (``NaN``, ``Infinity``).
+    """
     names = list(columns)
-    rows = zip(*(column.tolist() for column in columns.values()))
+    if fmt == "csv":
+        header, row = ",".join(names) + "\r\n", ",".join(["%s"] * len(names)) + "\r\n"
+    else:  # json-lines
+        header, row = "", "{" + ", ".join(f"{json.dumps(n)}: %s" for n in names) + "}\n"
+    length = min(map(len, columns.values()))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            writer.writerows(rows)
-        else:  # json-lines
-            for row in rows:
-                fh.write(json.dumps(dict(zip(names, row))) + "\n")
+        fh.write(header)
+        for start in range(0, length, EMIT_BLOCK_ROWS):
+            blocks = [c[start:start + EMIT_BLOCK_ROWS] for c in columns.values()]
+            tokens = [map(repr if fmt == "csv" or np.isfinite(b).all() else json.dumps,
+                          b.tolist()) for b in blocks]
+            fh.write("".join(map(row.__mod__, zip(*tokens))))
 
 
 def _response_block(capture: Capture, calibration_path: str | None = None):

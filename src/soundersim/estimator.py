@@ -281,9 +281,9 @@ def _calibration(fft_size, threshold, occupied, real, imag) -> CalibrationProfil
                                  "integers, bins in [0, fft_size)")
     if len(set(occupied)) != len(occupied):
         raise ConfigurationError(f"occupied bins must be unique, got {occupied}")
-    if not (len(real) == len(imag) == len(occupied)
-            and all(type(v) in (int, float) for v in (*real, *imag))):
-        raise ConfigurationError("real and imag need one number per occupied bin")
+    if not (len(real) == len(imag) == len(occupied) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in (*real, *imag))):
+        raise ConfigurationError("real and imag need one finite number per occupied bin")
     bins = np.zeros(fft_size, dtype=np.complex128)
     bins[occupied] = np.asarray(real) + 1j * np.asarray(imag)
     mask = np.zeros(fft_size, dtype=bool)

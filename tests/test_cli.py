@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -370,6 +371,9 @@ def _repeat_first_bin(profile):
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda p: p.update(real=[True, *p["real"][1:]]), id="bool-real"),
+    pytest.param(lambda p: p.update(real=[math.nan, *p["real"][1:]]), id="nan-real"),
+    pytest.param(lambda p: p.update(imag=[*p["imag"][:-1], math.inf]),
+                 id="infinity-imag"),
     pytest.param(lambda p: p.update(real=p["real"][:1], imag=p["imag"][:1]),
                  id="one-element-real-imag"),
     pytest.param(_repeat_first_bin, id="repeated-bin"),
@@ -377,9 +381,9 @@ def _repeat_first_bin(profile):
 ])
 def test_calibration_file_that_does_not_match_its_bins_exits_3(tmp_path, capsys,
                                                                edit):
-    # Each of these used to load: a bool read as 1.0, one value was
-    # broadcast over every bin, a repeated bin kept its last value and
-    # an unknown key was ignored.
+    # Each of these used to load: a bool read as 1.0, NaN and Infinity
+    # were written out as NaN rows, one value was broadcast over every bin,
+    # a repeated bin kept its last value and an unknown key was ignored.
     _estimate_with_edited_profile(tmp_path, capsys, edit)
 
 
