@@ -61,26 +61,36 @@ def _fail(category: str, message: str, code: int) -> int:
 EMIT_BLOCK_ROWS = 4096
 
 
-def _emit(columns: dict[str, np.ndarray], out_path: str, fmt: str) -> None:
+def _emit(columns: dict, out_path: str, fmt: str) -> None:
     """Write equal-length columns as CSV with a header row, or JSON-lines.
 
-    Each block of a column is spelled at once, with the tokens that
+    A column is an array, or a pair ``(values, index)`` that stands for
+    ``values[index]``.  Each block of an array column is spelled at once,
+    and a pair's ``values`` once for the whole table, with the tokens that
     ``csv.writer`` and ``json.dumps`` write: ``repr`` of each value, or in
-    JSON-lines ``json.dumps`` for a block holding a non-finite float
-    (``NaN``, ``Infinity``).
+    JSON-lines ``json.dumps`` for a block or pair holding a non-finite
+    float (``NaN``, ``Infinity``).  Columns of different lengths (a pair's
+    is ``len(index)``) raise ``ValueError``.
     """
     names = list(columns)
     if fmt == "csv":
         header, row = ",".join(names) + "\r\n", ",".join(["%s"] * len(names)) + "\r\n"
     else:  # json-lines
         header, row = "", "{" + ", ".join(f"{json.dumps(n)}: %s" for n in names) + "}\n"
-    length = min(map(len, columns.values()))
+
+    def spell(v):
+        return map(repr if fmt == "csv" or np.isfinite(v).all() else json.dumps, v.tolist())
+
+    cols = [(np.array(list(spell(c[0])), dtype=object), c[1]) if isinstance(c, tuple)
+            else (None, c) for c in columns.values()]
+    lengths = {len(c) for _, c in cols}
+    if len(lengths) != 1:
+        raise ValueError(f"columns must have one length, not {sorted(lengths)}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        for start in range(0, length, EMIT_BLOCK_ROWS):
-            blocks = [c[start:start + EMIT_BLOCK_ROWS] for c in columns.values()]
-            tokens = [map(repr if fmt == "csv" or np.isfinite(b).all() else json.dumps,
-                          b.tolist()) for b in blocks]
+        for start in range(0, lengths.pop(), EMIT_BLOCK_ROWS):
+            blocks = [(t, c[start:start + EMIT_BLOCK_ROWS]) for t, c in cols]
+            tokens = [spell(b) if t is None else t[b].tolist() for t, b in blocks]
             fh.write("".join(map(row.__mod__, zip(*tokens))))
 
 
@@ -162,26 +172,26 @@ def _cmd_estimate(args) -> int:
     cfg = capture.config
     block = _response_block(capture, args.calibration)
     shape = block.bins.shape
+    # Axis and index columns are pairs (values, index): each value is spelled once.
+    snaps, bins = np.arange(shape[0]), np.arange(shape[1])
     if args.kind == "response":
         snapshot, k = np.nonzero(np.broadcast_to(block.occupied_mask, shape))
         freqs = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
         values = block.bins[snapshot, k]
-        columns = {"snapshot": snapshot, "bin": k, "freq_offset_hz": freqs[k],
-                   "real": values.real, "imag": values.imag}
+        columns = {"snapshot": (snaps, snapshot), "bin": (bins, k),
+                   "freq_offset_hz": (freqs, k), "real": values.real, "imag": values.imag}
     else:
         cir = to_cir(block)
         snapshot, n = np.indices(shape).reshape(2, -1)
-        delay_s = n * cfg.sample_period_s
+        axes = {"snapshot": (snaps, snapshot), "delay_s": (bins * cfg.sample_period_s, n)}
         if args.kind == "cir":
-            columns = {"snapshot": snapshot, "delay_s": delay_s,
-                       "real": cir.real.ravel(), "imag": cir.imag.ravel()}
+            columns = {**axes, "real": cir.real.ravel(), "imag": cir.imag.ravel()}
         else:  # pdp
             # Exported power is relative to each snapshot's strongest tap;
             # absolute reference levels are not calibrated.
             power_db = power_delay_profile(cir)
             power_db -= power_db.max(axis=-1, keepdims=True)
-            columns = {"snapshot": snapshot, "delay_s": delay_s,
-                       "power_rel_peak_db": power_db.ravel()}
+            columns = {**axes, "power_rel_peak_db": power_db.ravel()}
     _emit(columns, args.out, args.format)
     summary = {"rows": len(snapshot), "out": args.out, "kind": args.kind}
     if args.kind == "pdp":

@@ -314,6 +314,24 @@ def test_empty_capture_estimates_no_rows_and_cannot_calibrate(tmp_path, capsys):
     assert not cal_path.exists()
 
 
+@pytest.mark.parametrize("snapshots", [0, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("kind", ["pdp", "cir", "response"])
+def test_estimate_summary_rows_count_the_data_lines(tmp_path, capsys, kind, fmt,
+                                                    snapshots):
+    _, config_path, channel_path = _write_inputs(tmp_path, snapshots=snapshots)
+    path = tmp_path / "run.capture"
+    assert main(["simulate", "--config", config_path, "--channel", channel_path,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "table"
+    assert main(["estimate", str(path), "--kind", kind, "--format", fmt,
+                 "--out", str(out)]) == 0
+    data_lines = out.read_text(encoding="utf-8").splitlines()[fmt == "csv":]
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == len(data_lines) == snapshots * (51 if kind == "response" else 64)
+
+
 @pytest.mark.parametrize("threshold", ["inf", "nan", "0"])
 def test_calibrate_rejects_threshold_outside_positive_finite(tmp_path, capsys,
                                                             threshold):
