@@ -33,23 +33,18 @@ partial symbol).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fixedpoint
-from .config import MALFORMED, SounderConfig, from_json, read_json
+from .config import MALFORMED, SounderConfig, _is_integer, from_json, read_json
 from .errors import ConfigurationError
 from .fixedpoint import BLOCK_LEN
-
-
-def _is_integer(value) -> bool:
-    """True for integers; floats would be truncated and bools are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -193,6 +188,19 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+@functools.lru_cache(maxsize=16)
+def _row_tables(freq: float) -> tuple[np.ndarray, ...]:
+    """The tables of a tone that depend on its frequency alone, read-only:
+    ``M``'s real and imaginary parts, then ``F`` and ``i·F`` as (re, im) pairs."""
+    mid_r, mid_i = _phasors(freq * 256, range(_ROW))
+    fine_r, fine_i = _phasors(freq, range(_ROW))
+    tables = (mid_r, mid_i, np.stack([fine_r, fine_i], axis=-1),
+              np.stack([-fine_i, fine_r], axis=-1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _add_tone(out: np.ndarray, tone: Interferer, start_index: int) -> None:
     """Add ``tone`` at absolute indices ``start_index, ...`` to ``out`` in place.
 
@@ -205,13 +213,10 @@ def _add_tone(out: np.ndarray, tone: Interferer, start_index: int) -> None:
     spin = np.exp(complex(0.0, tone.phase))
     top_r, top_i = _cmul(tone.amplitude * spin.real, tone.amplitude * spin.imag,
                          *_phasors(tone.freq * 65536, range(first >> 8, (last >> 8) + 1)))
-    mid_r, mid_i = _phasors(tone.freq * 256, range(_ROW))
+    mid_r, mid_i, fine, fine_times_i = _row_tables(tone.freq)
     rows = np.arange(first, last + 1)
     top, mid = (rows >> 8) - (first >> 8), rows & 255
     row_r, row_i = _cmul(top_r[top], top_i[top], mid_r[mid], mid_i[mid])
-    fine_r, fine_i = _phasors(tone.freq, range(_ROW))
-    fine = np.stack([fine_r, fine_i], axis=-1)
-    fine_times_i = np.stack([-fine_i, fine_r], axis=-1)
     per_block = BLOCK_LEN // _ROW
     pairs = np.empty((per_block, _ROW, 2))
     scratch = np.empty_like(pairs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 from .averager import AveragerConfig
@@ -22,6 +23,11 @@ from .waveform import ZcParams
 
 #: Relative tolerance when deciding whether a float ratio is an integer.
 _RATIO_TOL = 1e-9
+
+
+def _is_integer(value) -> bool:
+    """True for integers; floats would be truncated and bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def exact_ratio(numerator: float, denominator: float) -> int | None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import exact_ratio, frame_length
+from .config import _is_integer, exact_ratio, frame_length
 from .errors import SchedulingError
 
 
@@ -40,6 +40,10 @@ class PpsSchedule:
 
     def __post_init__(self) -> None:
         frame_length(self.rep_period_s, self.sample_period_s, SchedulingError)
+        fields = (self.tx_start_flank, self.rx_start_flank, self.timing_error)
+        if not all(_is_integer(value) for value in fields):
+            raise SchedulingError(
+                f"flank indices and timing_error must be integers, got {fields}")
         if self.tx_start_flank < 0 or self.rx_start_flank < 0:
             raise SchedulingError("flank indices must be >= 0")
         if exact_ratio(1.0, self.rep_period_s) is None:

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -294,6 +296,117 @@ def test_noisy_campaign_is_deterministic():
     for a, b in zip(one.snapshots, two.snapshots):
         assert np.array_equal(a.data, b.data)
     assert one.clipped_components == two.clipped_components
+
+
+@pytest.mark.parametrize("num_snapshots", [0, 1, 2, 5])
+def test_capture_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                         num_snapshots):
+    # A noisy campaign simulates snapshot k on worker k mod W, with the
+    # noise stream of snapshot k, so its bytes and its clip count must be
+    # the same on any number of cores.  The first tap clips in every snapshot.
+    cfg = _small_config(num_snapshots=num_snapshots)
+    model = _small_channel(taps=((5, 1.9), (30, 0.5j), (63, 0.25)), noise_std=0.05)
+    average = campaign.select_and_average
+    files, clipped = set(), set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        for workers in (1, 2, 3, 8):
+            seen = set()  # the Thread objects themselves, so none is reused
+
+            def tracked(*args, **kwargs):
+                seen.add(threading.current_thread())
+                return average(*args, **kwargs)
+
+            monkeypatch.setattr(campaign, "_usable_cores", lambda: workers)
+            monkeypatch.setattr(campaign, "select_and_average", tracked)
+            capture = run_campaign(cfg, model, created=CREATED)
+            assert len(seen) == min(workers, num_snapshots)
+            assert [s.snapshot_index for s in capture.snapshots] == list(range(num_snapshots))
+            path = tmp_path / f"{workers}.capture"
+            write_capture(path, capture)
+            files.add(path.read_bytes())
+            clipped.add(capture.clipped_components)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(files) == 1 and len(clipped) == 1
+    assert (clipped.pop() > 0) == (num_snapshots > 0)
+
+
+@pytest.mark.parametrize("failing", [0, 2, 4])
+def test_a_failing_worker_is_raised_after_every_thread_is_joined(monkeypatch, failing):
+    # Three workers over five snapshots: snapshot 0 is the first of worker
+    # 0, 2 the only one of worker 2 and 4 the last of worker 1.  The
+    # worker that quantizes the failing snapshot raises; run_campaign
+    # must raise that exception and leave no thread behind.
+    current = threading.local()
+    rng, quantize = campaign.snapshot_rng, campaign.quantize_clipped
+
+    def indexed_rng(seed, k):
+        current.k = k
+        return rng(seed, k)
+
+    def quantize_or_fail(values):
+        if current.k == failing:
+            raise ArithmeticError(f"quantizer failed on snapshot {failing}")
+        return quantize(values)
+
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(campaign, "snapshot_rng", indexed_rng)
+    monkeypatch.setattr(campaign, "quantize_clipped", quantize_or_fail)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"snapshot {failing}$"):
+        run_campaign(_small_config(num_snapshots=5), _small_channel(noise_std=0.05),
+                     created=CREATED)
+    assert threading.active_count() == before
+
+
+def test_a_failing_worker_stops_the_others(monkeypatch):
+    # Two workers over 40 snapshots.  Worker 1 holds its first snapshot
+    # until worker 0 fails on snapshot 0, then must give up instead of
+    # simulating its other 19 snapshots.
+    current, failed, quantized = threading.local(), threading.Event(), []
+    rng, quantize = campaign.snapshot_rng, campaign.quantize_clipped
+
+    def indexed_rng(seed, k):
+        current.k = k
+        return rng(seed, k)
+
+    def quantize_or_fail(values):
+        if current.k == 0:
+            failed.set()
+            raise ArithmeticError("quantizer failed on snapshot 0")
+        failed.wait(timeout=10)
+        quantized.append(current.k)
+        return quantize(values)
+
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(campaign, "snapshot_rng", indexed_rng)
+    monkeypatch.setattr(campaign, "quantize_clipped", quantize_or_fail)
+    with pytest.raises(ArithmeticError, match="snapshot 0$"):
+        run_campaign(_small_config(num_snapshots=40), _small_channel(noise_std=0.05),
+                     created=CREATED)
+    assert failed.is_set() and len(quantized) < 20, quantized
+
+
+def test_a_thread_that_cannot_start_is_raised_after_the_others_stop(monkeypatch):
+    # The system refuses worker 1's thread: worker 0, already running,
+    # must stop and be joined before the refusal reaches the caller.
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(campaign.threading, "Thread", Thread)
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 2)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_campaign(_small_config(num_snapshots=40), _small_channel(noise_std=0.05),
+                     created=CREATED)
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 def test_validation_failure_blocks_campaign():

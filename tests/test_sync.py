@@ -56,6 +56,22 @@ def test_schedule_validation():
         PpsSchedule(rep_period_s=5e-3, sample_period_s=0.7e-9)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, 0.5, True, False])
+@pytest.mark.parametrize("field", ["tx_start_flank", "rx_start_flank", "timing_error"])
+def test_non_integer_schedule_fields_are_rejected(field, value):
+    # A float would be truncated or fail later inside the campaign, and a
+    # bool is not a count.
+    with pytest.raises(SchedulingError, match="must be integers"):
+        PpsSchedule(rep_period_s=5e-3, sample_period_s=2e-9, **{field: value})
+
+
+def test_numpy_integer_schedule_fields_are_accepted():
+    sched = PpsSchedule(rep_period_s=5e-3, sample_period_s=2e-9,
+                        tx_start_flank=np.int64(2), rx_start_flank=np.uint8(3),
+                        timing_error=np.int32(-4))
+    assert receiver_offset(sched) == 2_500_000 - 4
+
+
 def test_offset_never_depends_on_flanks():
     # For any valid period, all flank pairs give the same offset.
     rng = np.random.default_rng(6)

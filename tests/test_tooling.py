@@ -26,6 +26,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool_and_starts_no_thread(tmp_path):
+    # run_campaign starts its worker threads with threading alone:
+    # concurrent.futures would add its import time to every CLI start.
+    code = ("import sys, threading, soundersim, soundersim.cli\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    proc = _run(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False 1"
+
+
 def test_failing_property_test_is_reported(tmp_path):
     shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
     (tmp_path / "test_two.py").write_text(
