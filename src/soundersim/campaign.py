@@ -138,7 +138,7 @@ def snapshot_rng(seed: int, snapshot_index: int) -> np.random.Generator:
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on: one noisy-campaign worker each."""
+    """Cores this process may run on: one campaign thread or export process each."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 

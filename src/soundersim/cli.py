@@ -4,7 +4,9 @@ Subcommands mirror a measurement workflow: ``generate`` the transmit
 frame, ``simulate`` a capture through a channel model, ``calibrate``
 from a back-to-back capture, ``estimate`` responses/CIRs/PDPs from a
 capture, ``validate`` a configuration against a channel, and ``report``
-capture metadata.
+capture metadata.  ``estimate`` spells a large table in up to one
+process per usable core, with the same bytes and no setting; each forked
+child adds about 2.4-4.0 MiB of private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -14,12 +16,17 @@ stderr so callers can parse failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
+from . import campaign
 from .averager import Snapshot
 from .campaign import (
     Capture,
@@ -70,7 +77,9 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
     ``csv.writer`` and ``json.dumps`` write: ``repr`` of each value, or in
     JSON-lines ``json.dumps`` for a block or pair holding a non-finite
     float (``NaN``, ``Infinity``).  Columns of different lengths (a pair's
-    is ``len(index)``) raise ``ValueError``.
+    is ``len(index)``) raise ``ValueError``.  Contiguous shares of the
+    blocks are spelled here and in forked children, whose temporary files
+    are copied on in order; a failed child's message is raised here.
     """
     names = list(columns)
     if fmt == "csv":
@@ -81,17 +90,47 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
     def spell(v):
         return map(repr if fmt == "csv" or np.isfinite(v).all() else json.dumps, v.tolist())
 
+    def write(share, dest):
+        for start in share:
+            blocks = [(t, c[start:start + EMIT_BLOCK_ROWS]) for t, c in cols]
+            tokens = [spell(b) if t is None else t[b].tolist() for t, b in blocks]
+            dest.write("".join(map(row.__mod__, zip(*tokens))).encode())
+        dest.flush()
+
     cols = [(np.array(list(spell(c[0])), dtype=object), c[1]) if isinstance(c, tuple)
             else (None, c) for c in columns.values()]
     lengths = {len(c) for _, c in cols}
     if len(lengths) != 1:
         raise ValueError(f"columns must have one length, not {sorted(lengths)}")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
-        for start in range(0, lengths.pop(), EMIT_BLOCK_ROWS):
-            blocks = [(t, c[start:start + EMIT_BLOCK_ROWS]) for t, c in cols]
-            tokens = [spell(b) if t is None else t[b].tolist() for t, b in blocks]
-            fh.write("".join(map(row.__mod__, zip(*tokens))))
+    with open(out_path, "wb") as fh, contextlib.ExitStack() as spools:
+        fh.write(header.encode())
+        starts = range(0, lengths.pop(), EMIT_BLOCK_ROWS)
+        workers = min(campaign._usable_cores(), len(starts)) if hasattr(os, "fork") else 1
+        shares, parent, children = np.array_split(starts, max(workers, 1)), os.getpid(), []
+        try:
+            for share in shares[1:]:
+                spool = spools.enter_context(tempfile.TemporaryFile())
+                children.append((spool, os.fork()))
+                if not children[-1][1]:  # a child: leaves by os._exit, never returns
+                    write(share, spool)
+                    os._exit(0)
+            write(shares[0], fh)
+        finally:
+            if os.getpid() != parent:  # a child that failed: its message replaces its rows
+                exc = sys.exc_info()[1]
+                with contextlib.suppress(BaseException):
+                    spool.seek(0)
+                    message = f"{exc}" if isinstance(exc, OSError) else f"{exc!r}"
+                    spool.write(message.encode())
+                    spool.truncate()
+                os._exit(2 - isinstance(exc, OSError))
+            codes = [os.waitstatus_to_exitcode(os.waitpid(p, 0)[1]) for _, p in children]
+        for (spool, _), code in zip(children, codes):
+            spool.seek(0)
+            if code:
+                message = spool.read().decode() if code in (1, 2) else f"status {code}"
+                raise (OSError if code == 1 else RuntimeError)(f"export child: {message}")
+            shutil.copyfileobj(spool, fh)
 
 
 def _response_block(capture: Capture, calibration_path: str | None = None):

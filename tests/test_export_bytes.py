@@ -11,10 +11,12 @@ well, so a failure names the side that moved.
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from soundersim import campaign, cli
 from soundersim.averager import Snapshot
 from soundersim.campaign import Capture, write_capture
 from soundersim.cli import main
@@ -121,6 +123,26 @@ def test_export_bytes_are_pinned(exported, name):
     out, codes = exported
     assert codes[name] == 0
     assert _sha256(out / name) == OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_export_bytes_do_not_depend_on_the_worker_count(exported, tmp_path, monkeypatch,
+                                                        workers):
+    # Blocks of 16 rows make 10 (response) or 12 (pdp, cir) blocks per table;
+    # three workers fork two children whatever the host's core count.
+    out, _ = exported
+    forks, fork = [], os.fork
+    monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 16)
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for name, kind, fmt, calibrated in EXPORTS:
+        args = ["estimate", str(out / "run.capture"), "--kind", kind,
+                "--format", fmt, "--out", str(tmp_path / name)]
+        if calibrated:
+            args += ["--calibration", str(out / "calibration.json")]
+        assert main(args) == 0
+        assert _sha256(tmp_path / name) == OUTPUT_SHA256[name], name
+    assert len(forks) == (workers - 1) * len(EXPORTS)
 
 
 def test_empty_capture_exports_headers_only(tmp_path, capsys):

@@ -1,17 +1,19 @@
 """The block-wise table writer against the per-row writer it replaced.
 
 ``cli._emit`` spells each column in blocks of ``EMIT_BLOCK_ROWS`` rows,
-and the values of a ``(values, index)`` pair once per table.  The oracle
-below is the earlier writer, one ``csv.writer`` or ``json.dumps`` call
-per row, given ``values[index]`` for a pair; both must write the same
-bytes for any int64 and float64 columns, including NaN, infinities,
--0.0, subnormals and the magnitudes that ``repr`` spells in exponent
-form.
+and the values of a ``(values, index)`` pair once per table, in up to
+one process per usable core.  The oracle below is the earlier writer,
+one ``csv.writer`` or ``json.dumps`` call per row, given
+``values[index]`` for a pair; both must write the same bytes for any
+int64 and float64 columns, including NaN, infinities, -0.0, subnormals
+and the magnitudes that ``repr`` spells in exponent form, at any worker
+count.  A failing worker process must be reported and every one reaped.
 """
 
 import csv
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,9 +22,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from soundersim import cli
+from soundersim import campaign, cli
+from soundersim.channel import ChannelModel
+from soundersim.config import SounderConfig
+from soundersim.waveform import ZcParams
 
 BLOCK = 4
+
+#: Worker counts the writer is checked at; 8 exceeds most tables' blocks.
+WORKERS = [1, 2, 3, 8]
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308,
                   1e16, -1e16, 1.2345678901234567e22, 1.7976931348623157e308]
@@ -54,7 +62,8 @@ def tables(draw):
     A column is an array or a pair ``(values, index)`` whose index may be
     unsorted and repeat entries.
     """
-    length = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]))
+    length = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK,
+                                   5 * BLOCK + 2, 9 * BLOCK + 1]))
     kinds = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4))
     columns = {}
     for i, (is_float, is_pair) in enumerate(kinds):
@@ -70,16 +79,27 @@ def tables(draw):
 # A pair's JSON fallback covers its whole table: here the index reaches a
 # non-finite value only in the last block.
 @example(columns={"delay": (np.array([-0.0, 5e-324, math.nan, -math.inf]),
-                            np.array([1, 0, 1, 0, 0, 3, 2]))}, fmt="json-lines")
+                            np.array([1, 0, 1, 0, 0, 3, 2]))}, fmt="json-lines", workers=1)
 @example(columns={"bin": (np.array([7, -2**63]), np.array([1, 1, 0])),
-                  "y": np.array([math.inf, 1e16, -0.0])}, fmt="json-lines")
+                  "y": np.array([math.inf, 1e16, -0.0])}, fmt="json-lines", workers=1)
+# No rows, and fewer blocks than workers.
+@example(columns={"y": np.array([], dtype=np.float64)}, fmt="csv", workers=8)
+@example(columns={"y": np.array([], dtype=np.float64)}, fmt="json-lines", workers=3)
+@example(columns={"x": np.arange(BLOCK + 1), "y": np.ones(BLOCK + 1)}, fmt="csv", workers=8)
+# Three blocks over two workers: the child's share is the last block, the
+# only one whose float column falls back to json.dumps for -inf.
+@example(columns={"k": (np.array([0.5, 2.0]), np.arange(3 * BLOCK) % 2),
+                  "y": np.array([1.5] * (3 * BLOCK - 1) + [-math.inf])},
+         fmt="json-lines", workers=2)
 @settings(max_examples=400)
-@given(columns=tables(), fmt=st.sampled_from(["csv", "json-lines"]))
-def test_block_writer_matches_per_row_writer(columns, fmt):
+@given(columns=tables(), fmt=st.sampled_from(["csv", "json-lines"]),
+       workers=st.sampled_from(WORKERS))
+def test_block_writer_matches_per_row_writer(columns, fmt, workers):
     gathered = {name: c[0][c[1]] if isinstance(c, tuple) else c
                 for name, c in columns.items()}
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(cli, "EMIT_BLOCK_ROWS", BLOCK)
+        mp.setattr(campaign, "_usable_cores", lambda: workers)
         expected, actual = Path(tmp, "expected"), Path(tmp, "actual")
         _emit_per_row(gathered, expected, fmt)
         cli._emit(columns, actual, fmt)
@@ -96,3 +116,109 @@ def test_columns_of_different_lengths_raise(tmp_path, columns, fmt):
     with pytest.raises(ValueError, match="one length"):
         cli._emit(columns, tmp_path / "out", fmt)
     assert not (tmp_path / "out").exists()
+
+
+CREATED = "2026-03-01T12:00:00+00:00"
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    """Three noiseless snapshots of 64 samples: 192 rows, 12 blocks of 16."""
+    cfg = SounderConfig(
+        signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+        rep_period_s=1e-3, sample_period_s=1.0 / 512_000,
+        zc=ZcParams(51, 2), num_snapshots=3,
+    )
+    path = tmp_path_factory.mktemp("capture") / "run.capture"
+    campaign.write_capture(path, campaign.run_campaign(
+        cfg, ChannelModel(taps=((0, 1.0), (5, 0.3j))), created=CREATED))
+    return path
+
+
+@pytest.fixture
+def forked(monkeypatch, tmp_path):
+    """Three workers over blocks of 16 rows, temporary files in their own
+    directory; yields the pids that ``os.fork`` returned to this process."""
+    monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 16)
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 3)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    pids, fork = [], os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def _failing_repr(exc, where, pids):
+    """A ``repr`` that raises ``exc`` in every child, or in this process
+    once it has forked (so after the axis columns are spelled)."""
+    parent = os.getpid()
+
+    def failing_repr(value):
+        in_parent = os.getpid() == parent
+        if (in_parent and pids) if where == "parent" else not in_parent:
+            raise exc
+        return repr(value)
+    return failing_repr
+
+
+def test_a_child_os_error_exits_4_with_its_message(monkeypatch, forked, capture,
+                                                   tmp_path, capsys):
+    failing = _failing_repr(OSError(28, "spool disk full"), "child", forked)
+    monkeypatch.setattr(cli, "repr", failing, raising=False)
+    assert cli.main(["estimate", str(capture), "--out", str(tmp_path / "pdp.csv")]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"category": "io", "message": "export child: [Errno 28] spool disk full"}
+    assert len(forked) == 2
+
+
+def test_a_child_failure_of_another_kind_raises_in_the_caller(monkeypatch, forked,
+                                                               capture, tmp_path):
+    failing = _failing_repr(ArithmeticError("no spelling"), "child", forked)
+    monkeypatch.setattr(cli, "repr", failing, raising=False)
+    with pytest.raises(RuntimeError, match=r"^export child: ArithmeticError\('no spelling'\)$"):
+        cli.main(["estimate", str(capture), "--out", str(tmp_path / "pdp.csv")])
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("parent share"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_a_failing_parent_share_reaps_the_children(monkeypatch, forked, capture,
+                                                   tmp_path, exc):
+    monkeypatch.setattr(cli, "repr", _failing_repr(exc, "parent", forked), raising=False)
+    with pytest.raises(type(exc)):
+        cli.main(["estimate", str(capture), "--kind", "cir",
+                  "--out", str(tmp_path / "cir.csv")])
+    assert len(forked) == 2
+
+
+def test_workers_write_to_a_non_regular_output(forked, capture, capsys):
+    assert cli.main(["estimate", str(capture), "--format", "json-lines",
+                     "--out", os.devnull]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 192
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("case", ["one core", "one block", "no fork"])
+def test_serial_cases_fork_nothing(monkeypatch, forked, tmp_path, case):
+    columns = {"x": np.arange(40), "y": np.linspace(-1.0, 1.0, 40)}  # 3 blocks of 16
+    if case == "one core":
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
+    elif case == "one block":
+        monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 40)
+    else:
+        monkeypatch.delattr(os, "fork")
+    cli._emit(columns, tmp_path / "actual", "csv")
+    _emit_per_row(columns, tmp_path / "expected", "csv")
+    assert (tmp_path / "actual").read_bytes() == (tmp_path / "expected").read_bytes()
+    assert forked == []

@@ -36,6 +36,33 @@ def test_cli_import_loads_no_thread_pool_and_starts_no_thread(tmp_path):
     assert proc.stdout.strip() == "False 1"
 
 
+def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
+    # The export forks its workers with os.fork alone: multiprocessing or
+    # concurrent.futures would add their import time to every CLI start.
+    code = ("import sys\n"
+            "from soundersim import campaign, cli\n"
+            "from soundersim.channel import ChannelModel\n"
+            "from soundersim.config import SounderConfig\n"
+            "from soundersim.waveform import ZcParams\n"
+            "pools = lambda: sorted(m for m in sys.modules\n"
+            "    if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "print(pools())\n"
+            "cfg = SounderConfig(signal_len=64, discard_len=128, avg_count=4,\n"
+            "    shift_bits=2, rep_period_s=1e-3, sample_period_s=1.0 / 512_000,\n"
+            "    zc=ZcParams(51, 2), num_snapshots=3)\n"
+            "campaign.write_capture('run.capture', campaign.run_campaign(\n"
+            "    cfg, ChannelModel(taps=((0, 1.0),)), created='2026-03-01T12:00:00+00:00'))\n"
+            "campaign._usable_cores = lambda: 2\n"
+            "cli.EMIT_BLOCK_ROWS = 16\n"
+            "assert cli.main(['estimate', 'run.capture', '--out', 'pdp.csv']) == 0\n"
+            "print(pools())\n")
+    proc = _run(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len((tmp_path / "pdp.csv").read_text().splitlines()) == 1 + 3 * 64
+
+
 def test_failing_property_test_is_reported(tmp_path):
     shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
     (tmp_path / "test_two.py").write_text(
