@@ -6,7 +6,7 @@ from a back-to-back capture, ``estimate`` responses/CIRs/PDPs from a
 capture, ``validate`` a configuration against a channel, and ``report``
 capture metadata.  ``estimate`` spells a large table in up to one
 process per usable core, with the same bytes and no setting; each forked
-child adds about 2.4-4.0 MiB of private memory at the default config.
+child adds about 3.1-3.6 MiB of private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from . import campaign
+from . import campaign, floattext
 from .averager import Snapshot
 from .campaign import (
     Capture,
@@ -74,31 +74,51 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
     A column is an array, or a pair ``(values, index)`` that stands for
     ``values[index]``.  Each block of an array column is spelled at once,
     and a pair's ``values`` once for the whole table, with the tokens that
-    ``csv.writer`` and ``json.dumps`` write: ``repr`` of each value, or in
-    JSON-lines ``json.dumps`` for a block or pair holding a non-finite
-    float (``NaN``, ``Infinity``).  Columns of different lengths (a pair's
-    is ``len(index)``) raise ``ValueError``.  Contiguous shares of the
-    blocks are spelled here and in forked children, whose temporary files
-    are copied on in order; a failed child's message is raised here.
+    ``csv.writer`` and ``json.dumps`` write: ``repr`` of each finite value
+    (:func:`floattext.spell` for floats), and ``nan``, ``inf``, ``-inf``
+    in CSV or ``NaN``, ``Infinity``, ``-Infinity`` in JSON-lines.  A
+    block's rows are one NUL-padded byte matrix, written without its NULs.
+    Columns of different lengths (a pair's is ``len(index)``) raise
+    ``ValueError``.  Contiguous shares of the blocks are spelled here and
+    in forked children, whose temporary files are copied on in order; a
+    failed child's message is raised here.
     """
     names = list(columns)
     if fmt == "csv":
-        header, row = ",".join(names) + "\r\n", ",".join(["%s"] * len(names)) + "\r\n"
+        header, special = ",".join(names) + "\r\n", ("nan", "inf")
+        seps = [""] + [","] * (len(names) - 1) + ["\r\n"]
     else:  # json-lines
-        header, row = "", "{" + ", ".join(f"{json.dumps(n)}: %s" for n in names) + "}\n"
+        header, special = "", ("NaN", "Infinity")
+        seps = [f"{', ' if i else '{'}{json.dumps(n)}: " for i, n in enumerate(names)] + ["}\n"]
 
-    def spell(v):
-        return map(repr if fmt == "csv" or np.isfinite(v).all() else json.dumps, v.tolist())
+    def width(v):  # bytes of the longest text of a column's values
+        if v.dtype.kind == "f":
+            return floattext.WIDTH
+        return max(len(str(v.min(initial=0))), len(str(v.max(initial=0))))
+
+    def spell(v, size):
+        if v.dtype.kind == "f":
+            return floattext.spell(v, *special)
+        return v.astype(f"S{size}").view(np.uint8).reshape(len(v), size)
 
     def write(share, dest):
+        # One row layout per table: the separators are laid out once.
+        text = np.zeros((EMIT_BLOCK_ROWS, ends[-1]), np.uint8)
+        for sep, end in zip(seps, ends):
+            text[:, end - len(sep):end] = np.frombuffer(sep.encode(), np.uint8)
         for start in share:
-            blocks = [(t, c[start:start + EMIT_BLOCK_ROWS]) for t, c in cols]
-            tokens = [spell(b) if t is None else t[b].tolist() for t, b in blocks]
-            dest.write("".join(map(row.__mod__, zip(*tokens))).encode())
+            for (t, c), size, at in zip(cols, sizes, ends):
+                block = c[start:start + EMIT_BLOCK_ROWS]
+                rows = len(block)
+                text[:rows, at:at + size] = spell(block, size) if t is None else t[block]
+            dest.write(text[:rows][text[:rows] != 0])
         dest.flush()
 
-    cols = [(np.array(list(spell(c[0])), dtype=object), c[1]) if isinstance(c, tuple)
-            else (None, c) for c in columns.values()]
+    cols = [(spell(c[0], width(c[0])), c[1]) if isinstance(c, tuple) else (None, c)
+            for c in columns.values()]
+    sizes = [width(c) if t is None else t.shape[1] for t, c in cols]
+    # Where each field starts, then where the row ends.
+    ends = np.cumsum([len(sep) + size for sep, size in zip(seps, [0] + sizes)])
     lengths = {len(c) for _, c in cols}
     if len(lengths) != 1:
         raise ValueError(f"columns must have one length, not {sorted(lengths)}")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from soundersim import campaign, cli
+from soundersim import campaign, cli, floattext
 from soundersim.channel import ChannelModel
 from soundersim.config import SounderConfig
 from soundersim.waveform import ZcParams
@@ -159,23 +159,23 @@ def forked(monkeypatch, tmp_path):
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
-def _failing_repr(exc, where, pids):
-    """A ``repr`` that raises ``exc`` in every child, or in this process
-    once it has forked (so after the axis columns are spelled)."""
-    parent = os.getpid()
+def _failing_spell(exc, where, pids):
+    """A ``floattext.spell`` that raises ``exc`` in every child, or in this
+    process once it has forked (so after the axis columns are spelled)."""
+    parent, spell = os.getpid(), floattext.spell
 
-    def failing_repr(value):
+    def failing_spell(values, *special):
         in_parent = os.getpid() == parent
         if (in_parent and pids) if where == "parent" else not in_parent:
             raise exc
-        return repr(value)
-    return failing_repr
+        return spell(values, *special)
+    return failing_spell
 
 
 def test_a_child_os_error_exits_4_with_its_message(monkeypatch, forked, capture,
                                                    tmp_path, capsys):
-    failing = _failing_repr(OSError(28, "spool disk full"), "child", forked)
-    monkeypatch.setattr(cli, "repr", failing, raising=False)
+    failing = _failing_spell(OSError(28, "spool disk full"), "child", forked)
+    monkeypatch.setattr(floattext, "spell", failing)
     assert cli.main(["estimate", str(capture), "--out", str(tmp_path / "pdp.csv")]) == 4
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"category": "io", "message": "export child: [Errno 28] spool disk full"}
@@ -184,8 +184,8 @@ def test_a_child_os_error_exits_4_with_its_message(monkeypatch, forked, capture,
 
 def test_a_child_failure_of_another_kind_raises_in_the_caller(monkeypatch, forked,
                                                                capture, tmp_path):
-    failing = _failing_repr(ArithmeticError("no spelling"), "child", forked)
-    monkeypatch.setattr(cli, "repr", failing, raising=False)
+    failing = _failing_spell(ArithmeticError("no spelling"), "child", forked)
+    monkeypatch.setattr(floattext, "spell", failing)
     with pytest.raises(RuntimeError, match=r"^export child: ArithmeticError\('no spelling'\)$"):
         cli.main(["estimate", str(capture), "--out", str(tmp_path / "pdp.csv")])
     assert len(forked) == 2
@@ -195,7 +195,7 @@ def test_a_child_failure_of_another_kind_raises_in_the_caller(monkeypatch, forke
                          ids=["error", "interrupt"])
 def test_a_failing_parent_share_reaps_the_children(monkeypatch, forked, capture,
                                                    tmp_path, exc):
-    monkeypatch.setattr(cli, "repr", _failing_repr(exc, "parent", forked), raising=False)
+    monkeypatch.setattr(floattext, "spell", _failing_spell(exc, "parent", forked))
     with pytest.raises(type(exc)):
         cli.main(["estimate", str(capture), "--kind", "cir",
                   "--out", str(tmp_path / "cir.csv")])

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -34,6 +36,14 @@ def test_cli_import_loads_no_thread_pool_and_starts_no_thread(tmp_path):
     proc = _run(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False 1"
+
+
+def test_float_text_tables_stay_small():
+    # The export's float formatter builds its tables when it is imported,
+    # so every CLI start pays for them: together they stay within 64 KiB.
+    from soundersim import floattext
+    tables = [v for v in vars(floattext).values() if isinstance(v, np.ndarray)]
+    assert tables and sum(t.nbytes for t in tables) <= 64 * 1024
 
 
 def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
