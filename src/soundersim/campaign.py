@@ -19,8 +19,9 @@ max_delay`` samples are propagated, and the header's saturation count
 covers exactly those.
 
 Only the noise and interferer phases differ between snapshots, so the
-tap convolution of the segment is computed once per campaign and each
-snapshot adds its own interference and noise to a copy of it.  Noise
+tap convolution of the segment is computed once per campaign, for static
+and noisy channels alike, and each noisy snapshot adds its own
+interference and noise to a copy of it.  Noise
 for snapshot k comes from an independent PCG64 stream spawned from the
 channel seed with key (k,), drawn over the propagated samples (the
 ``"pcg64-window"`` scheme named in the header), so any snapshot can be
@@ -29,8 +30,9 @@ one thread per usable core, worker w of W taking snapshots w, w + W, ...
 on its own buffers (about 1.8 MiB each at the default config), and a
 capture's payload is the same across runs, hosts, core counts and
 trigger flanks.  A static channel (no noise, no interferer) gives every
-snapshot the same samples, so it is simulated, quantized and averaged
-once and its saturation count is multiplied by the snapshot count.
+snapshot the same samples, so its tap sum is quantized and averaged once
+and its saturation count is multiplied by the snapshot count.  No step
+calls the long-stream oracle that tests compare campaigns against.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -62,12 +64,11 @@ from .averager import Snapshot, select_and_average
 from .channel import (
     ChannelModel,
     add_interference_and_noise,
-    apply_channel,
     channel_digest,
     convolve_taps,
     validate_config,
 )
-from .config import SounderConfig, config_from_dict, config_to_dict, from_json
+from .config import SounderConfig, check_field_types, config_from_dict, config_to_dict
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
 from .fixedpoint import SAMPLE_DTYPE, quantize_clipped
 from .sync import PpsSchedule, receiver_offset
@@ -99,10 +100,23 @@ class Capture:
     snapshots: list[Snapshot]
 
     def __post_init__(self) -> None:
+        check_field_types(self)  # what read_capture rejects, write_capture must too
+        for key, bound in (("seed", 2**64), ("clipped_components", math.inf)):
+            if not 0 <= getattr(self, key) < bound:
+                raise ConfigurationError(
+                    f"{key} must be in [0, {bound}), got {getattr(self, key)}")
         if len(self.snapshots) != self.config.num_snapshots:
             raise ConfigurationError(
                 f"config num_snapshots {self.config.num_snapshots} does not "
                 f"match the {len(self.snapshots)} snapshots held")
+        shape = (self.config.signal_len,)
+        for k, snap in enumerate(self.snapshots):
+            data = snap.data
+            if not (isinstance(data, np.ndarray) and data.shape == shape
+                    and data.dtype == SAMPLE_DTYPE):
+                raise ConfigurationError(
+                    f"snapshot {k} must be a {shape} {SAMPLE_DTYPE} array, got "
+                    f"{np.shape(data)} {getattr(data, 'dtype', type(data).__name__)}")
 
     @property
     def payload_bytes(self) -> int:
@@ -192,17 +206,17 @@ def run_campaign(
     window_len = acfg.window_len
     segment = tx_frame_samples(wf, cfg, -tail - offset, tail + window_len)
 
+    taps_out = convolve_taps(segment, model)  # the same for every snapshot
     if model.noise_std == 0 and not model.interferers:
         # A static channel adds nothing that depends on the snapshot
         # index: every snapshot is snapshot 0, each in its own row.
-        result = apply_channel(segment, model, start_index=-tail)
-        first = select_and_average(result.samples[tail : tail + window_len], acfg)
+        samples, clipped = quantize_clipped(taps_out)
+        first = select_and_average(samples[tail : tail + window_len], acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
         snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
                      for k, row in enumerate(block)]
-        clipped = cfg.num_snapshots * result.clipped_components
+        clipped *= cfg.num_snapshots
     else:
-        taps_out = convolve_taps(segment, model)  # the same for every snapshot
         workers = min(_usable_cores(), cfg.num_snapshots)
         snapshots, clips, errors = [None] * cfg.num_snapshots, [0] * workers, []
 
@@ -319,14 +333,12 @@ def read_capture(path) -> Capture:
                 ("channel_digest", "prng", "seed", "created", "clipped_components")}
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
-    for key, bound in (("snapshot_count", math.inf), ("seed", 2**64),
-                       ("clipped_components", math.inf)):
-        if type(header[key]) is not int:
-            raise CaptureFormatError(
-                f"capture header {key} must be an integer, got {header[key]!r}")
-        if not 0 <= header[key] < bound:
-            raise CaptureFormatError(
-                f"capture header {key} must be in [0, {bound}), got {header[key]}")
+    if type(count) is not int:
+        raise CaptureFormatError(
+            f"capture header snapshot_count must be an integer, got {count!r}")
+    if count < 0:
+        raise CaptureFormatError(
+            f"capture header snapshot_count must be in [0, inf), got {count}")
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes
     payload = memoryview(raw)[header_end:]
@@ -343,6 +355,6 @@ def read_capture(path) -> Capture:
     snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
                  for k, row in enumerate(data)]
     try:
-        return from_json(Capture, meta, config=cfg, snapshots=snapshots)
+        return Capture(config=cfg, snapshots=snapshots, **meta)
     except ConfigurationError as exc:
         raise CaptureFormatError(f"capture header {exc}") from exc

@@ -274,35 +274,20 @@ def add_interference_and_noise(
     return out
 
 
-def propagate_float(
-    tx: np.ndarray,
-    model: ChannelModel,
-    start_index: int = 0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Float-domain channel output, before requantization.
-
-    :func:`convolve_taps` followed by :func:`add_interference_and_noise`;
-    ``start_index`` is the absolute index of ``tx[0]`` in the transmit
-    stream.  Returns ``len(tx) + model.max_delay`` complex128 samples.
-    """
-    out = convolve_taps(tx, model)
-    return add_interference_and_noise(out, model, start_index=start_index, rng=rng)
-
-
 def apply_channel(
     tx: np.ndarray,
     model: ChannelModel,
     start_index: int = 0,
     rng: np.random.Generator | None = None,
 ) -> ChannelResult:
-    """Propagate ``tx`` through the channel and requantize.
+    """Propagate ``tx`` through the channel and requantize, in one pass.
 
-    Deterministic: the same arguments always produce bit-identical
-    samples.  Saturated I/Q components are clipped to the rails and
-    counted.
+    The long-stream oracle that tests and ``bench/`` compare campaigns
+    against (``run_campaign`` never calls it).  Deterministic: the same
+    arguments always produce bit-identical samples.  Saturated I/Q
+    components are clipped to the rails and counted.
     """
-    received = propagate_float(tx, model, start_index=start_index, rng=rng)
+    received = add_interference_and_noise(convolve_taps(tx, model), model, start_index, rng)
     return ChannelResult(*fixedpoint.quantize_clipped(received))
 
 

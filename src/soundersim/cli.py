@@ -125,6 +125,7 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
     with open(out_path, "wb") as fh, contextlib.ExitStack() as spools:
         fh.write(header.encode())
         starts = range(0, lengths.pop(), EMIT_BLOCK_ROWS)
+        # Forked, not threaded: the formatter's numpy calls on 4096-value blocks hold the GIL.
         workers = min(campaign._usable_cores(), len(starts)) if hasattr(os, "fork") else 1
         shares, parent, children = np.array_split(starts, max(workers, 1)), os.getpid(), []
         try:

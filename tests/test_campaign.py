@@ -21,7 +21,13 @@ from soundersim.campaign import (
     storage_rate_bytes,
     write_capture,
 )
-from soundersim.channel import ChannelModel, Interferer, apply_channel, propagate_float
+from soundersim.channel import (
+    ChannelModel,
+    Interferer,
+    add_interference_and_noise,
+    apply_channel,
+    convolve_taps,
+)
 from soundersim.config import SounderConfig
 from soundersim.errors import CaptureFormatError, ConfigurationError, ValidationError
 from soundersim.fixedpoint import quantize_clipped
@@ -434,8 +440,9 @@ def test_saturation_is_counted_across_snapshots():
 
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
-    received = propagate_float(np.tile(frame, cfg.num_snapshots + 1), model,
-                               start_index=-cfg.frame_len)
+    stream = np.tile(frame, cfg.num_snapshots + 1)
+    received = add_interference_and_noise(convolve_taps(stream, model), model,
+                                          start_index=-cfg.frame_len)
     tail = model.max_delay
     window_len = cfg.averager_config().window_len
     expected = 0
@@ -527,8 +534,7 @@ def test_malformed_source_date_epoch_fails_before_simulating(monkeypatch, model)
         raise AssertionError("the channel ran before the timestamp was resolved")
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
-    monkeypatch.setattr(campaign, "convolve_taps", simulated)
-    monkeypatch.setattr(campaign, "apply_channel", simulated)
+    monkeypatch.setattr(campaign, "convolve_taps", simulated)  # both branches' first step
     with pytest.raises(ConfigurationError, match="SOURCE_DATE_EPOCH"):
         run_campaign(_small_config(), model)
 
@@ -594,6 +600,37 @@ def test_read_rejects_payload_size_mismatch(tmp_path):
     path.write_bytes(raw + b"\x00\x00\x00\x00")
     with pytest.raises(CaptureFormatError, match="payload"):
         read_capture(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("snapshots", "short", r"snapshot 1 must be a \(64,\) .* got \(63,\)"),
+    ("snapshots", "complex128", r"snapshot 1 must be a \(64,\) .* got \(64,\) complex128"),
+    ("snapshots", "2-D", r"snapshot 1 must be a \(64,\) .* got \(1, 64\)"),
+    ("seed", -1, r"seed must be in \[0, 18446744073709551616\), got -1$"),
+    ("seed", 2**64, r"seed must be in \[0, 18446744073709551616\), got 18446744073709551616$"),
+    ("clipped_components", -3, r"clipped_components must be in \[0, inf\), got -3$"),
+], ids=["short-row", "complex128-row", "2d-row", "negative-seed", "seed-2**64",
+        "negative-clip-count"])
+def test_capture_rejects_what_read_capture_rejects(tmp_path, field, value, message):
+    # write_capture must not write a file that read_capture then rejects.
+    path, raw = _write_valid_capture(tmp_path)
+    valid = read_capture(path)
+    if field == "snapshots":  # row 1 short, complex128 or two-dimensional
+        row = valid.snapshots[1].data
+        bad = {"short": row[:-1], "complex128": row["i"] + 1j * row["q"],
+               "2-D": row[np.newaxis]}[value]
+        value = [valid.snapshots[0], dataclasses.replace(valid.snapshots[1], data=bad)]
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(valid, **{field: value})
+    if field != "snapshots":  # the reader says the same of such a header
+        header_len = struct.unpack_from("<I", raw, 6)[0]
+        header = json.loads(raw[10:10 + header_len])
+        header[field] = value
+        encoded = json.dumps(header).encode("utf-8")
+        path.write_bytes(struct.pack("<4sHI", b"CSND", 1, len(encoded)) + encoded
+                         + raw[10 + header_len:])
+        with pytest.raises(CaptureFormatError, match="capture header " + message):
+            read_capture(path)
 
 
 def test_header_is_sorted_json_with_spec_fields(tmp_path):

@@ -18,8 +18,9 @@ from soundersim.campaign import run_campaign, snapshot_rng
 from soundersim.channel import (
     ChannelModel,
     Interferer,
+    add_interference_and_noise,
     apply_channel,
-    propagate_float,
+    convolve_taps,
     validate_config,
 )
 from soundersim.config import SounderConfig
@@ -196,15 +197,16 @@ def test_campaign_matches_oracles_bit_for_bit(case):
     noise_std=st.sampled_from([0.0, 0.05]),
     seed=st.integers(0, 2**32),
 )
-def test_propagate_float_matches_one_pass_bit_for_bit(length, start_index, taps,
-                                                      interferers, noise_std, seed):
+def test_tap_sum_interference_and_noise_match_one_pass_bit_for_bit(
+        length, start_index, taps, interferers, noise_std, seed):
     rng = np.random.default_rng(seed)
     tx = np.empty(length, dtype=SAMPLE_DTYPE)
     tx["i"] = rng.integers(-32768, 32768, length)
     tx["q"] = rng.integers(-32768, 32768, length)
     model = ChannelModel(taps=tuple(taps), noise_std=noise_std,
                          interferers=tuple(interferers), seed=seed)
-    got = propagate_float(tx, model, start_index, rng=snapshot_rng(seed, 1))
+    got = add_interference_and_noise(convolve_taps(tx, model), model, start_index,
+                                     snapshot_rng(seed, 1))
     expected = _plain_propagate(tx, model, start_index, snapshot_rng(seed, 1))
     assert np.array_equal(got, expected)
 

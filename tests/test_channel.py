@@ -20,8 +20,8 @@ from soundersim.channel import (
     channel_digest,
     channel_from_dict,
     channel_to_dict,
+    convolve_taps,
     load_channel,
-    propagate_float,
     save_channel,
     validate_config,
 )
@@ -70,10 +70,11 @@ def test_chunked_interferer_phase_is_seamless():
     # 720,000 of the default 2.5 M-sample frame) and before index 0.
     for start, cuts in ((0, (200, 400)), (720_000 * 2_500_000 - 107, (200, 389)),
                         (-300, (1, 301, 555))):
-        whole = propagate_float(tx, model, start_index=start)
+        whole = add_interference_and_noise(convolve_taps(tx, model), model, start)
         bounds = [0, *cuts, len(tx)]
-        parts = np.concatenate([propagate_float(tx[a:b], model, start_index=start + a)
-                                for a, b in zip(bounds, bounds[1:])])
+        parts = np.concatenate([
+            add_interference_and_noise(convolve_taps(tx[a:b], model), model, start + a)
+            for a, b in zip(bounds, bounds[1:])])
         assert np.array_equal(whole, parts)
 
 
@@ -153,8 +154,8 @@ def test_propagation_is_linear_in_gains():
     rng = np.random.default_rng(9)
     tx = _random_samples(rng, 300)
     taps = ((0, 0.5 + 0.25j), (7, -0.125j), (40, 0.0625))
-    one = propagate_float(tx, ChannelModel(taps=taps))
-    scaled = propagate_float(
+    one = convolve_taps(tx, ChannelModel(taps=taps))
+    scaled = convolve_taps(
         tx, ChannelModel(taps=tuple((d, 3.0 * g) for d, g in taps))
     )
     assert np.allclose(scaled, 3.0 * one, rtol=1e-12, atol=0)
@@ -163,9 +164,9 @@ def test_propagation_is_linear_in_gains():
 def test_superposition_of_taps():
     rng = np.random.default_rng(10)
     tx = _random_samples(rng, 300)
-    both = propagate_float(tx, ChannelModel(taps=((5, 0.5), (90, -0.25j))))
-    early = propagate_float(tx, ChannelModel(taps=((5, 0.5), (90, 0.0))))
-    late = propagate_float(tx, ChannelModel(taps=((5, 0.0), (90, -0.25j))))
+    both = convolve_taps(tx, ChannelModel(taps=((5, 0.5), (90, -0.25j))))
+    early = convolve_taps(tx, ChannelModel(taps=((5, 0.5), (90, 0.0))))
+    late = convolve_taps(tx, ChannelModel(taps=((5, 0.0), (90, -0.25j))))
     assert np.allclose(both, early + late, rtol=0, atol=1e-15)
 
 
@@ -183,7 +184,7 @@ def test_noise_is_deterministic_per_seed():
 def test_noise_statistics():
     tx = np.zeros(500_000, fp.SAMPLE_DTYPE)
     model = ChannelModel(taps=((0, 0.0),), noise_std=0.1, seed=11)
-    out = propagate_float(tx, model)
+    out = add_interference_and_noise(convolve_taps(tx, model), model)
     for comp in (out.real, out.imag):
         assert abs(comp.mean()) < 3 * 0.1 / np.sqrt(comp.size)
         assert abs(comp.std() - 0.1) < 3 * 0.1 / np.sqrt(2 * comp.size)
@@ -200,7 +201,7 @@ def test_saturation_is_counted_and_clipped():
     assert result.samples["i"].tolist() == [32767, -32768, 200]
     # The result is the (samples, clipped) pair quantize_clipped returns.
     samples, clipped = apply_channel(tx, model)
-    expected, expected_clipped = fp.quantize_clipped(propagate_float(tx, model))
+    expected, expected_clipped = fp.quantize_clipped(convolve_taps(tx, model))
     assert samples.tobytes() == expected.tobytes()
     assert clipped == expected_clipped == 2
 

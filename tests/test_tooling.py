@@ -46,6 +46,14 @@ def test_float_text_tables_stay_small():
     assert tables and sum(t.nbytes for t in tables) <= 64 * 1024
 
 
+def test_campaign_binds_no_oracle():
+    # Tests and bench/ check run_campaign against these oracles; the
+    # comparison only means something while the campaign calls none of them.
+    from soundersim import campaign
+    oracles = {"apply_channel", "run_state_machine", "step_state_machine"}
+    assert not oracles & set(vars(campaign))
+
+
 def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
     # The export forks its workers with os.fork alone: multiprocessing or
     # concurrent.futures would add their import time to every CLI start.
