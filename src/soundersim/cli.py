@@ -6,7 +6,7 @@ from a back-to-back capture, ``estimate`` responses/CIRs/PDPs from a
 capture, ``validate`` a configuration against a channel, and ``report``
 capture metadata.  ``estimate`` spells a large table in up to one
 process per usable core, with the same bytes and no setting; each forked
-child adds about 3.1-3.6 MiB of private memory at the default config.
+child adds about 4.7-5.2 MiB of private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -48,24 +48,19 @@ from .estimator import (
     save_calibration,
     to_cir,
 )
-from .fixedpoint import SAMPLE_DTYPE
+from .fixedpoint import BLOCK_LEN, SAMPLE_DTYPE
 from .sync import PpsSchedule
 from .waveform import build_sounding_symbol, build_tx_frame
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-EXIT_FORMAT = 5
 
 
 def _fail(category: str, message: str, code: int) -> int:
     print(json.dumps({"error": {"category": category, "message": message}}),
           file=sys.stderr)
     return code
-
-
-#: Rows spelled and written at a time; larger blocks raise peak memory.
-EMIT_BLOCK_ROWS = 4096
 
 
 def _emit(columns: dict, out_path: str, fmt: str) -> None:
@@ -103,12 +98,12 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
 
     def write(share, dest):
         # One row layout per table: the separators are laid out once.
-        text = np.zeros((EMIT_BLOCK_ROWS, ends[-1]), np.uint8)
+        text = np.zeros((BLOCK_LEN, ends[-1]), np.uint8)
         for sep, end in zip(seps, ends):
             text[:, end - len(sep):end] = np.frombuffer(sep.encode(), np.uint8)
         for start in share:
             for (t, c), size, at in zip(cols, sizes, ends):
-                block = c[start:start + EMIT_BLOCK_ROWS]
+                block = c[start:start + BLOCK_LEN]
                 rows = len(block)
                 text[:rows, at:at + size] = spell(block, size) if t is None else t[block]
             dest.write(text[:rows][text[:rows] != 0])
@@ -124,8 +119,8 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
         raise ValueError(f"columns must have one length, not {sorted(lengths)}")
     with open(out_path, "wb") as fh, contextlib.ExitStack() as spools:
         fh.write(header.encode())
-        starts = range(0, lengths.pop(), EMIT_BLOCK_ROWS)
-        # Forked, not threaded: the formatter's numpy calls on 4096-value blocks hold the GIL.
+        starts = range(0, lengths.pop(), BLOCK_LEN)
+        # Forked, not threaded: the formatter's numpy calls on BLOCK_LEN values hold the GIL.
         workers = min(campaign._usable_cores(), len(starts)) if hasattr(os, "fork") else 1
         shares, parent, children = np.array_split(starts, max(workers, 1)), os.getpid(), []
         try:

@@ -37,9 +37,11 @@ FULL_SCALE = 32768.0
 #: Value of one least significant bit in float units.
 LSB = 1.0 / FULL_SCALE
 
-#: Samples per block where a long run of samples is processed piecewise.
-#: Every sample gets the same arithmetic however the run is blocked; small
-#: blocks let the temporaries be reused instead of paged in afresh.
+#: Samples per block where a long run of samples is processed piecewise,
+#: and also the rows per block of an export table and the values per pass
+#: of the float formatter.  Every sample, row and value gets the same
+#: arithmetic however the run is blocked; small blocks let the temporaries
+#: be reused instead of paged in afresh.
 BLOCK_LEN = 8192
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fixedpoint import BLOCK_LEN
+
 _K_MIN, _K_MAX = -324, 292
 _M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
@@ -54,9 +56,6 @@ _WORD_START = np.array([[0], [64], [128]], np.uint64)  # in bits
 
 #: Bytes of one spelled value, NUL-padded.
 WIDTH = 24
-
-#: Values spelled at a time, so that no temporary exceeds 96 KiB.
-CHUNK = 4096
 
 
 def _rop(g, cp):
@@ -164,8 +163,8 @@ def spell(values: np.ndarray, nan: str = "nan", inf: str = "inf") -> np.ndarray:
     ``inf`` or ``-`` and ``inf`` as given."""
     x = np.ascontiguousarray(values, np.float64)
     out = np.empty((len(x), 3), "<u8")
-    for i in range(0, len(x), CHUNK):
-        out[i:i + CHUNK] = _spell_words(x[i:i + CHUNK]).T
+    for i in range(0, len(x), BLOCK_LEN):  # a (3, BLOCK_LEN) temporary is 192 KiB
+        out[i:i + BLOCK_LEN] = _spell_words(x[i:i + BLOCK_LEN]).T
     out = out.view(np.uint8)
     if not np.isfinite(x).all():
         for mask, word in ((np.isnan(x), nan), (x == np.inf, inf), (x == -np.inf, "-" + inf)):

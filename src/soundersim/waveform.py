@@ -90,16 +90,15 @@ class SoundingWaveform:
 
     ``time_signal`` is exactly the inverse DFT of ``freq_bins``; the
     amplitude scale lives in the bins.  The scale is chosen so the
-    largest I or Q excursion of the time signal equals ``backoff`` of
-    full scale, which keeps quantization saturation-free for any
-    backoff <= 1 - 2**-15.
+    largest I or Q excursion of the time signal equals the ``backoff``
+    fraction of full scale given to :func:`build_sounding_symbol`, which
+    keeps quantization saturation-free for any backoff <= 1 - 2**-15.
     """
 
     fft_size: int
     occupied_mask: np.ndarray  # bool, length fft_size
     freq_bins: np.ndarray  # complex128, zero outside the mask
     time_signal: np.ndarray  # complex128, length fft_size
-    backoff: float
 
 
 def build_sounding_symbol(
@@ -138,7 +137,6 @@ def build_sounding_symbol(
         occupied_mask=mask,
         freq_bins=bins,
         time_signal=time_signal,
-        backoff=backoff,
     )
 
 

@@ -168,6 +168,8 @@ def test_truncated_stream_reports_need():
         select_and_average(stream, cfg)
     with pytest.raises(TruncatedStreamError, match="snapshot 3"):
         select_and_average(stream, cfg, snapshot_index=3)
+    with pytest.raises(TruncatedStreamError, match="need 1088"):
+        run_state_machine(stream, cfg)
 
 
 def test_config_validation():

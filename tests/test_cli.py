@@ -275,7 +275,7 @@ def test_capture_header_with_non_integer_count_exits_5(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("key, value", [
-    ("seed", -1), ("seed", 2**64), ("clipped_components", -3),
+    ("seed", -1), ("seed", 2**64), ("clipped_components", -3), ("snapshot_count", -1),
 ])
 @pytest.mark.parametrize("command", ["report", "estimate"])
 def test_capture_header_with_out_of_range_count_exits_5(tmp_path, capsys, command,

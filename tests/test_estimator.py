@@ -292,6 +292,9 @@ def test_read_tap_gains_validation():
         read_tap_gains(cir, mask, [-1])
     with pytest.raises(ConfigurationError):
         read_tap_gains(cir, mask, [3, 3])
+    dc_only = np.arange(64) == 0  # a flat kernel: every pair of delays looks alike
+    with pytest.raises(ConfigurationError, match="band-limit kernel is singular"):
+        read_tap_gains(cir, dc_only, [0, 1])
 
 
 def test_estimate_rejects_mismatched_sizes():

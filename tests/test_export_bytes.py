@@ -132,7 +132,7 @@ def test_export_bytes_do_not_depend_on_the_worker_count(exported, tmp_path, monk
     # three workers fork two children whatever the host's core count.
     out, _ = exported
     forks, fork = [], os.fork
-    monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 16)
+    monkeypatch.setattr(cli, "BLOCK_LEN", 16)
     monkeypatch.setattr(campaign, "_usable_cores", lambda: workers)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for name, kind, fmt, calibrated in EXPORTS:

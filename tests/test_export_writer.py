@@ -1,6 +1,6 @@
 """The block-wise table writer against the per-row writer it replaced.
 
-``cli._emit`` spells each column in blocks of ``EMIT_BLOCK_ROWS`` rows,
+``cli._emit`` spells each column in blocks of ``BLOCK_LEN`` rows,
 and the values of a ``(values, index)`` pair once per table, in up to
 one process per usable core.  The oracle below is the earlier writer,
 one ``csv.writer`` or ``json.dumps`` call per row, given
@@ -98,7 +98,7 @@ def test_block_writer_matches_per_row_writer(columns, fmt, workers):
     gathered = {name: c[0][c[1]] if isinstance(c, tuple) else c
                 for name, c in columns.items()}
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(cli, "EMIT_BLOCK_ROWS", BLOCK)
+        mp.setattr(cli, "BLOCK_LEN", BLOCK)
         mp.setattr(campaign, "_usable_cores", lambda: workers)
         expected, actual = Path(tmp, "expected"), Path(tmp, "actual")
         _emit_per_row(gathered, expected, fmt)
@@ -139,7 +139,7 @@ def capture(tmp_path_factory):
 def forked(monkeypatch, tmp_path):
     """Three workers over blocks of 16 rows, temporary files in their own
     directory; yields the pids that ``os.fork`` returned to this process."""
-    monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 16)
+    monkeypatch.setattr(cli, "BLOCK_LEN", 16)
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 3)
     (tmp_path / "tmp").mkdir()
     monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
@@ -215,7 +215,7 @@ def test_serial_cases_fork_nothing(monkeypatch, forked, tmp_path, case):
     if case == "one core":
         monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
     elif case == "one block":
-        monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", 40)
+        monkeypatch.setattr(cli, "BLOCK_LEN", 40)
     else:
         monkeypatch.delattr(os, "fork")
     cli._emit(columns, tmp_path / "actual", "csv")

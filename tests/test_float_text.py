@@ -98,8 +98,8 @@ def test_empty_and_strided_input():
     assert floattext.spell(np.array([])).shape == (0, floattext.WIDTH)
     values = np.arange(12.0).reshape(3, 4) / 7
     _assert_spelled_as_repr(values[:, 1])  # not contiguous
-    # More than one chunk of work.
-    _assert_spelled_as_repr(np.linspace(-3.0, 3.0, 2 * floattext.CHUNK + 5))
+    # More than one block of work.
+    _assert_spelled_as_repr(np.linspace(-3.0, 3.0, 2 * floattext.BLOCK_LEN + 5))
 
 
 def test_spelling_does_not_depend_on_the_cpu_dispatch_level():

@@ -1,5 +1,6 @@
 """What a ``soundersim`` process loads, and how the suite reports a failure."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -71,7 +72,7 @@ def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
             "campaign.write_capture('run.capture', campaign.run_campaign(\n"
             "    cfg, ChannelModel(taps=((0, 1.0),)), created='2026-03-01T12:00:00+00:00'))\n"
             "campaign._usable_cores = lambda: 2\n"
-            "cli.EMIT_BLOCK_ROWS = 16\n"
+            "cli.BLOCK_LEN = 16\n"
             "assert cli.main(['estimate', 'run.capture', '--out', 'pdp.csv']) == 0\n"
             "print(pools())\n")
     proc = _run(["-c", code], tmp_path)
@@ -79,6 +80,24 @@ def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"
     assert len((tmp_path / "pdp.csv").read_text().splitlines()) == 1 + 3 * 64
+
+
+def test_python_m_soundersim_runs_the_cli(tmp_path, capsys):
+    from soundersim import campaign, cli
+    from soundersim.channel import ChannelModel
+    from soundersim.config import SounderConfig
+    from soundersim.waveform import ZcParams
+    cfg = SounderConfig(signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
+                        rep_period_s=1e-3, sample_period_s=1.0 / 512_000,
+                        zc=ZcParams(51, 2), num_snapshots=3)
+    capture = tmp_path / "run.capture"
+    campaign.write_capture(capture, campaign.run_campaign(
+        cfg, ChannelModel(taps=((0, 1.0),)), created="2026-03-01T12:00:00+00:00"))
+    proc = _run(["-m", "soundersim", "report", str(capture)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["report", str(capture)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert json.loads(proc.stdout)["snapshots"] == 3
 
 
 def test_failing_property_test_is_reported(tmp_path):

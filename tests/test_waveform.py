@@ -113,6 +113,8 @@ def test_symbol_rejects_sequence_longer_than_fft():
         build_sounding_symbol(ZcParams(9, 2), 8, 0.5)
     with pytest.raises(ConfigurationError):
         build_sounding_symbol(ZcParams(3, 2), 8, 0.0)
+    with pytest.raises(ConfigurationError, match="fft_size"):
+        build_sounding_symbol(ZcParams(3, 2), -1, 0.5)
 
 
 def test_symbol_quantization_saturation_free_at_max_backoff():
