@@ -100,11 +100,15 @@ class Snapshot:
     ``data`` holds the raw shifted sums (int16 I/Q); rescale by
     ``2**shift_bits / avg_count`` to recover signal amplitude.  The
     estimator also takes an ``(N, signal_len)`` block, one per row.
+    ``np.asarray`` of a snapshot is its ``data``, of a list their block.
     """
 
     data: np.ndarray  # SAMPLE_DTYPE, shape (signal_len,) or (N, signal_len)
     snapshot_index: int
     config: AveragerConfig
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.data, dtype=dtype, copy=copy)
 
 
 class Phase(enum.Enum):

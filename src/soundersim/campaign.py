@@ -40,9 +40,9 @@ snapshot payload::
     bytes 0..3   magic "CSND"
     bytes 4..5   format version, uint16 LE (currently 1)
     bytes 6..9   header length in bytes, uint32 LE
-    header       UTF-8 JSON: config, channel digest, PRNG name + seed,
-                 creation time, saturation count
-    payload      per snapshot, signal_len records of int16 LE I then Q
+    header       UTF-8 JSON, keys sorted: format, version, config, channel_digest,
+                 prng, seed, created, clipped_components, dc_bin_included, snapshot_count
+    payload      the (snapshot_count, signal_len) block of int16 LE I, Q
 
 With the standard configuration a snapshot is 4 KiB every 5 ms, about
 0.8 MB/s of sustained capture rate.
@@ -60,7 +60,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .averager import Snapshot, select_and_average
+from .averager import select_and_average
 from .channel import (
     ChannelModel,
     add_interference_and_noise,
@@ -83,6 +83,8 @@ _PROLOGUE = struct.Struct("<4sHI")
 class Capture:
     """All ``config.num_snapshots`` snapshots of one campaign, with provenance.
 
+    ``snapshots`` is the payload, one C-contiguous ``(num_snapshots, signal_len)``
+    ``SAMPLE_DTYPE`` block; a list of rows or of ``Snapshot`` objects converts to it.
     ``channel_digest`` fingerprints the channel model file so captures
     can be traced back to the exact propagation scenario; ``created``
     is an ISO 8601 UTC timestamp.  The trigger schedule is deliberately
@@ -97,7 +99,7 @@ class Capture:
     seed: int
     created: str
     clipped_components: int
-    snapshots: list[Snapshot]
+    snapshots: np.ndarray
 
     def __post_init__(self) -> None:
         check_field_types(self)  # what read_capture rejects, write_capture must too
@@ -109,19 +111,20 @@ class Capture:
             raise ConfigurationError(
                 f"config num_snapshots {self.config.num_snapshots} does not "
                 f"match the {len(self.snapshots)} snapshots held")
-        shape = (self.config.signal_len,)
-        for k, snap in enumerate(self.snapshots):
-            data = snap.data
-            if not (isinstance(data, np.ndarray) and data.shape == shape
-                    and data.dtype == SAMPLE_DTYPE):
-                raise ConfigurationError(
-                    f"snapshot {k} must be a {shape} {SAMPLE_DTYPE} array, got "
-                    f"{np.shape(data)} {getattr(data, 'dtype', type(data).__name__)}")
+        shape = (self.config.num_snapshots, self.config.signal_len)
+        try:  # an empty list has no rows to give the block its shape and dtype
+            self.snapshots = np.ascontiguousarray(
+                self.snapshots if len(self.snapshots) else np.empty(shape, SAMPLE_DTYPE))
+        except ValueError as exc:  # ragged rows
+            raise ConfigurationError(f"snapshots must form one {shape} block: {exc}") from exc
+        if self.snapshots.shape != shape or self.snapshots.dtype != SAMPLE_DTYPE:
+            raise ConfigurationError(f"snapshots must form one {shape} {SAMPLE_DTYPE} block, "
+                                     f"got {self.snapshots.shape} {self.snapshots.dtype}")
 
     @property
     def payload_bytes(self) -> int:
         """Size of the snapshot payload on disk."""
-        return len(self.snapshots) * self.config.signal_len * SAMPLE_DTYPE.itemsize
+        return self.snapshots.nbytes
 
 
 def _timestamp(created: str | None) -> str:
@@ -209,19 +212,18 @@ def run_campaign(
     taps_out = convolve_taps(segment, model)  # the same for every snapshot
     if model.noise_std == 0 and not model.interferers:
         # A static channel adds nothing that depends on the snapshot
-        # index: every snapshot is snapshot 0, each in its own row.
+        # index: every row of the block is snapshot 0.
         samples, clipped = quantize_clipped(taps_out)
         first = select_and_average(samples[tail : tail + window_len], acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
-        snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
-                     for k, row in enumerate(block)]
         clipped *= cfg.num_snapshots
     else:
         workers = min(_usable_cores(), cfg.num_snapshots)
-        snapshots, clips, errors = [None] * cfg.num_snapshots, [0] * workers, []
+        block = np.empty((cfg.num_snapshots, cfg.signal_len), SAMPLE_DTYPE)
+        clips, errors = [0] * workers, []
 
         def work(w: int) -> None:
-            """Snapshots w, w + workers, ... into their slots, on one buffer."""
+            """Snapshots w, w + workers, ... into their rows, on one buffer."""
             try:
                 received = np.empty_like(taps_out)
                 for k in range(w, cfg.num_snapshots, workers):
@@ -232,8 +234,8 @@ def run_campaign(
                                                snapshot_rng(model.seed, k))
                     samples, clipped = quantize_clipped(received)
                     clips[w] += clipped
-                    snapshots[k] = select_and_average(samples[tail : tail + window_len],
-                                                      acfg, snapshot_index=k)
+                    block[k] = select_and_average(samples[tail : tail + window_len],
+                                                  acfg, snapshot_index=k).data
             except BaseException as exc:  # raised again by the calling thread
                 errors.append(exc)
 
@@ -260,7 +262,7 @@ def run_campaign(
         seed=model.seed,
         created=created,
         clipped_components=clipped,
-        snapshots=snapshots,
+        snapshots=block,
     )
 
 
@@ -297,8 +299,7 @@ def write_capture(path, capture: Capture) -> None:
     with open(path, "wb") as fh:
         fh.write(_PROLOGUE.pack(MAGIC, FORMAT_VERSION, len(header)))
         fh.write(header)
-        for snap in capture.snapshots:
-            fh.write(snap.data.tobytes())
+        fh.write(capture.snapshots)
 
 
 def read_capture(path) -> Capture:
@@ -351,10 +352,7 @@ def read_capture(path) -> Capture:
         data = np.frombuffer(payload, SAMPLE_DTYPE).reshape(count, cfg.signal_len)
     except ValueError as exc:
         raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
-    acfg = cfg.averager_config()
-    snapshots = [Snapshot(data=row, snapshot_index=k, config=acfg)
-                 for k, row in enumerate(data)]
     try:
-        return Capture(config=cfg, snapshots=snapshots, **meta)
+        return Capture(config=cfg, snapshots=data, **meta)
     except ConfigurationError as exc:
         raise CaptureFormatError(f"capture header {exc}") from exc

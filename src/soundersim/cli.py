@@ -48,7 +48,7 @@ from .estimator import (
     save_calibration,
     to_cir,
 )
-from .fixedpoint import BLOCK_LEN, SAMPLE_DTYPE
+from .fixedpoint import BLOCK_LEN
 from .sync import PpsSchedule
 from .waveform import build_sounding_symbol, build_tx_frame
 
@@ -153,10 +153,7 @@ def _response_block(capture: Capture, calibration_path: str | None = None):
     """The capture's responses as one ``(N, signal_len)`` block, one per row."""
     cfg = capture.config
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    data = np.array([snap.data.view(np.uint32) for snap in capture.snapshots],
-                    dtype=np.uint32).reshape(-1, cfg.signal_len).view(SAMPLE_DTYPE)
-    block = estimate_response(
-        Snapshot(data=data, snapshot_index=0, config=cfg.averager_config()), wf)
+    block = estimate_response(Snapshot(capture.snapshots, 0, cfg.averager_config()), wf)
     if calibration_path:
         block = apply_calibration(block, load_calibration(calibration_path))
     return block

@@ -7,7 +7,7 @@ criterion and the measured numbers.
 
 import numpy as np
 
-from soundersim.averager import run_state_machine, select_and_average
+from soundersim.averager import Snapshot, run_state_machine, select_and_average
 from soundersim.campaign import (
     run_campaign,
     storage_rate_bytes,
@@ -95,9 +95,10 @@ def test_criterion_04_fixed_point_oracle_and_state_machine():
 def _pdp_noise_floor_db(cfg, model, snapshots):
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     capture = run_campaign(cfg, model, created=CREATED)
+    acfg = cfg.averager_config()
     floors = []
-    for snap in capture.snapshots:
-        cir = to_cir(estimate_response(snap, wf))
+    for k, row in enumerate(capture.snapshots):
+        cir = to_cir(estimate_response(Snapshot(row, k, acfg), wf))
         floors.append(10.0 * np.log10(np.median(np.abs(cir) ** 2)))
     assert len(floors) == snapshots
     return float(np.mean(floors))
@@ -125,7 +126,7 @@ def test_criterion_06_interference_suppression():
     # offsets (in DFT bins) span barely-suppressed to ~-35 dB; measured
     # by coherently correlating the averaged symbols with the tone.
     cfg = SounderConfig(rep_period_s=2e-4, num_snapshots=4)
-    frame_len = cfg.frame_len
+    frame_len, acfg = cfg.frame_len, cfg.averager_config()
     amplitude = 0.25
     offsets_bins = [0.004, 0.006, 0.008, 0.010, 0.012, 0.020,
                     0.210, 0.570, 0.770, 1.900, 4.200, 7.770]
@@ -141,9 +142,9 @@ def test_criterion_06_interference_suppression():
         )
         capture = run_campaign(cfg, model, created=CREATED)
         corrs = []
-        for snap in capture.snapshots:
-            x = rescale_snapshot(snap)
-            base = snap.snapshot_index * frame_len + cfg.discard_len
+        for k, row in enumerate(capture.snapshots):
+            x = rescale_snapshot(Snapshot(row, k, acfg))
+            base = k * frame_len + cfg.discard_len
             idx = base + np.arange(1024)
             template = np.exp(-2j * np.pi * np.mod(nu * idx, 1.0))
             corrs.append(np.mean(x * template))
@@ -165,7 +166,8 @@ def test_criterion_07_cir_recovery():
     model = ChannelModel(taps=tuple(zip(delays, gains)))
     capture = run_campaign(cfg, model, created=CREATED)
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    cir = to_cir(estimate_response(capture.snapshots[0], wf))
+    first = Snapshot(capture.snapshots[0], 0, cfg.averager_config())
+    cir = to_cir(estimate_response(first, wf))
     top3 = np.sort(np.argsort(np.abs(cir))[-3:])
     delays_ok = top3.tolist() == list(delays)
     recovered = read_tap_gains(cir, wf.occupied_mask, delays)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from soundersim import campaign, fixedpoint
-from soundersim.averager import select_and_average
+from soundersim.averager import Snapshot, select_and_average
 from soundersim.campaign import (
     read_capture,
     report_reduction,
@@ -97,11 +97,11 @@ def test_campaign_matches_linear_simulation_bit_for_bit(offset):
     long_stream = apply_channel(np.tile(rx_frame, cfg.num_snapshots), model,
                                 start_index=0).samples
     acfg = cfg.averager_config()
-    for k, snap in enumerate(capture.snapshots):
+    for k, row in enumerate(capture.snapshots):
         window = long_stream[k * cfg.frame_len:
                              k * cfg.frame_len + acfg.window_len]
         expected = select_and_average(window, acfg, snapshot_index=k)
-        assert np.array_equal(snap.data, expected.data), f"snapshot {k}"
+        assert np.array_equal(row, expected.data), f"snapshot {k}"
 
 
 _PIN_TAPS = {
@@ -152,8 +152,8 @@ def test_noiseless_tone_free_snapshots_are_identical():
     model = ChannelModel(taps=((5, 1.0), (30, 0.5j)))
     capture = run_campaign(cfg, model, created=CREATED)
     assert len(capture.snapshots) == 3
-    assert np.array_equal(capture.snapshots[0].data, capture.snapshots[1].data)
-    assert np.array_equal(capture.snapshots[0].data, capture.snapshots[2].data)
+    assert np.array_equal(capture.snapshots[0], capture.snapshots[1])
+    assert np.array_equal(capture.snapshots[0], capture.snapshots[2])
 
 
 def _per_snapshot_reference(cfg, model):
@@ -199,16 +199,18 @@ def test_static_channel_is_simulated_once(monkeypatch):
     data, clipped = _per_snapshot_reference(cfg, model)
     assert clipped > 0
     assert capture.clipped_components == clipped
-    assert [snap.snapshot_index for snap in capture.snapshots] == [0, 1, 2, 3]
-    for snap, expected in zip(capture.snapshots, data):
-        assert np.array_equal(snap.data, expected)
+    assert capture.snapshots.shape == (4, cfg.signal_len)
+    assert capture.snapshots.flags.c_contiguous
+    for row, expected in zip(capture.snapshots, data, strict=True):
+        assert np.array_equal(row, expected)
     # Each snapshot owns its samples: writing one leaves the others alone.
-    capture.snapshots[0].data["i"] += 1
-    for snap in capture.snapshots[1:]:
-        assert np.array_equal(snap.data, data[0])
+    capture.snapshots[0]["i"] += 1
+    for row in capture.snapshots[1:]:
+        assert np.array_equal(row, data[0])
 
     empty = run_campaign(_small_config(num_snapshots=0), model, created=CREATED)
-    assert empty.snapshots == [] and empty.clipped_components == 0
+    assert empty.snapshots.shape == (0, cfg.signal_len)
+    assert empty.clipped_components == 0
 
 
 @pytest.mark.parametrize("model", [
@@ -231,8 +233,7 @@ def test_default_campaign_never_builds_the_frame(model):
 def test_asynchronous_tone_makes_snapshots_differ():
     cfg = _small_config()
     capture = run_campaign(cfg, _small_channel(), created=CREATED)
-    assert not np.array_equal(capture.snapshots[0].data,
-                              capture.snapshots[1].data)
+    assert not np.array_equal(capture.snapshots[0], capture.snapshots[1])
 
 
 def test_timing_error_shifts_the_received_frame():
@@ -247,7 +248,7 @@ def test_timing_error_shifts_the_received_frame():
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
     expected = select_and_average(np.roll(frame, shift), cfg.averager_config())
-    assert np.array_equal(capture.snapshots[0].data, expected.data)
+    assert np.array_equal(capture.snapshots[0], expected.data)
 
 
 @pytest.mark.parametrize("timing_error", [-1, -5, 2_432_421])
@@ -277,8 +278,7 @@ def test_start_flanks_do_not_change_the_capture(tmp_path):
         created=CREATED,
     )
     write_capture(tmp_path / "moved.capture", moved)
-    for a, b in zip(base.snapshots, moved.snapshots):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(base.snapshots, moved.snapshots)
     # The files are byte-identical: the schedule leaves no trace.
     assert (tmp_path / "base.capture").read_bytes() == \
         (tmp_path / "moved.capture").read_bytes()
@@ -299,8 +299,7 @@ def test_noisy_campaign_is_deterministic():
     model = _small_channel(noise_std=0.05)
     one = run_campaign(cfg, model, created=CREATED)
     two = run_campaign(cfg, model, created=CREATED)
-    for a, b in zip(one.snapshots, two.snapshots):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(one.snapshots, two.snapshots)
     assert one.clipped_components == two.clipped_components
 
 
@@ -319,16 +318,22 @@ def test_capture_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
     try:
         for workers in (1, 2, 3, 8):
             seen = set()  # the Thread objects themselves, so none is reused
+            averaged = {}  # snapshot index: its averager output
 
             def tracked(*args, **kwargs):
                 seen.add(threading.current_thread())
-                return average(*args, **kwargs)
+                snap = average(*args, **kwargs)
+                averaged[kwargs["snapshot_index"]] = snap.data.copy()
+                return snap
 
             monkeypatch.setattr(campaign, "_usable_cores", lambda: workers)
             monkeypatch.setattr(campaign, "select_and_average", tracked)
             capture = run_campaign(cfg, model, created=CREATED)
             assert len(seen) == min(workers, num_snapshots)
-            assert [s.snapshot_index for s in capture.snapshots] == list(range(num_snapshots))
+            # Row k holds what the averager returned for snapshot k.
+            assert sorted(averaged) == list(range(num_snapshots))
+            for k, row in enumerate(capture.snapshots):
+                assert np.array_equal(row, averaged[k])
             path = tmp_path / f"{workers}.capture"
             write_capture(path, capture)
             files.add(path.read_bytes())
@@ -489,11 +494,30 @@ def test_capture_file_round_trip(tmp_path):
     assert back.seed == 21
     assert back.created == CREATED
     assert back.clipped_components == capture.clipped_components
-    assert len(back.snapshots) == len(capture.snapshots)
-    for a, b in zip(capture.snapshots, back.snapshots):
-        assert np.array_equal(a.data, b.data)
-        assert a.snapshot_index == b.snapshot_index
-        assert b.data.flags.writeable
+    assert back.snapshots.shape == capture.snapshots.shape == (3, cfg.signal_len)
+    assert np.array_equal(back.snapshots, capture.snapshots)
+    assert back.snapshots.flags.writeable and back.snapshots.flags.c_contiguous
+
+
+@pytest.mark.parametrize("num_snapshots", [0, 3])
+@pytest.mark.parametrize("form", ["block", "rows", "snapshots"])
+def test_capture_holds_one_block_whichever_form_it_is_given(tmp_path, form, num_snapshots):
+    # At 0 snapshots the rows and the snapshots are each an empty list.
+    cfg = _small_config(num_snapshots=num_snapshots)
+    made = run_campaign(cfg, _small_channel(noise_std=0.02), created=CREATED)
+    write_capture(tmp_path / "made.capture", made)
+    block = np.asfortranarray(made.snapshots)  # rows that are not contiguous
+    acfg = cfg.averager_config()
+    given = {"block": block, "rows": list(block),
+             "snapshots": [Snapshot(row, k, acfg) for k, row in enumerate(block)]}[form]
+    capture = dataclasses.replace(made, snapshots=given)
+    assert isinstance(capture.snapshots, np.ndarray)
+    assert capture.snapshots.shape == (num_snapshots, cfg.signal_len)
+    assert capture.snapshots.dtype == fixedpoint.SAMPLE_DTYPE
+    assert capture.snapshots.flags.c_contiguous
+    write_capture(tmp_path / "given.capture", capture)
+    assert (tmp_path / "given.capture").read_bytes() == \
+        (tmp_path / "made.capture").read_bytes()
 
 
 def test_capture_must_hold_num_snapshots(tmp_path):
@@ -602,24 +626,39 @@ def test_read_rejects_payload_size_mismatch(tmp_path):
         read_capture(path)
 
 
+_RAGGED = r"snapshots must form one \(2, 64\) block: .* inhomogeneous shape"
+_GOT = r"snapshots must form one \(2, 64\) \[.*\] block, got "
+
+
 @pytest.mark.parametrize("field, value, message", [
-    ("snapshots", "short", r"snapshot 1 must be a \(64,\) .* got \(63,\)"),
-    ("snapshots", "complex128", r"snapshot 1 must be a \(64,\) .* got \(64,\) complex128"),
-    ("snapshots", "2-D", r"snapshot 1 must be a \(64,\) .* got \(1, 64\)"),
+    ("snapshots", "short", _RAGGED),
+    ("snapshots", "complex128", _GOT + r"\(2, 64\) object$"),
+    ("snapshots", "2-D", _RAGGED),
+    ("snapshots", "ragged", _RAGGED),
+    ("snapshots", "int16", _GOT + r"\(2, 64\) int16$"),
+    ("snapshots", "block-per-snapshot", _GOT + r"\(2, 2, 64\) \[\('i', '<i2'\), .*\]$"),
+    ("snapshots", "empty", r"config num_snapshots 2 does not match the 0 snapshots held$"),
     ("seed", -1, r"seed must be in \[0, 18446744073709551616\), got -1$"),
     ("seed", 2**64, r"seed must be in \[0, 18446744073709551616\), got 18446744073709551616$"),
     ("clipped_components", -3, r"clipped_components must be in \[0, inf\), got -3$"),
-], ids=["short-row", "complex128-row", "2d-row", "negative-seed", "seed-2**64",
+], ids=["short-row", "complex128-row", "2d-row", "ragged-rows", "int16-rows",
+        "snapshot-holding-the-block", "empty-list", "negative-seed", "seed-2**64",
         "negative-clip-count"])
 def test_capture_rejects_what_read_capture_rejects(tmp_path, field, value, message):
     # write_capture must not write a file that read_capture then rejects.
     path, raw = _write_valid_capture(tmp_path)
     valid = read_capture(path)
-    if field == "snapshots":  # row 1 short, complex128 or two-dimensional
-        row = valid.snapshots[1].data
+    if field == "snapshots":
+        block, acfg = valid.snapshots, valid.config.averager_config()
+        row = block[1]
         bad = {"short": row[:-1], "complex128": row["i"] + 1j * row["q"],
-               "2-D": row[np.newaxis]}[value]
-        value = [valid.snapshots[0], dataclasses.replace(valid.snapshots[1], data=bad)]
+               "2-D": row[np.newaxis]}
+        if value in bad:  # snapshot 1 short, complex128 or two-dimensional
+            value = [Snapshot(block[0], 0, acfg), Snapshot(bad[value], 1, acfg)]
+        else:  # rows of two lengths, plain int16 rows, the block as each snapshot
+            value = {"ragged": [block[0], row[:-2]], "int16": [r["i"] for r in block],
+                     "block-per-snapshot": [Snapshot(block, k, acfg) for k in range(2)],
+                     "empty": []}[value]
     with pytest.raises(ConfigurationError, match=message):
         dataclasses.replace(valid, **{field: value})
     if field != "snapshots":  # the reader says the same of such a header

@@ -179,12 +179,12 @@ def test_campaign_matches_oracles_bit_for_bit(case):
     data, clipped = _per_snapshot_oracle(cfg, model, offset)
     assert capture.clipped_components == clipped
     assert len(capture.snapshots) == cfg.num_snapshots
-    for snap, expected in zip(capture.snapshots, data):
-        assert np.array_equal(snap.data, expected)
+    for row, expected in zip(capture.snapshots, data):
+        assert np.array_equal(row, expected)
     if model.noise_std == 0:  # the long stream draws its noise differently
         long_stream = _long_stream_oracle(cfg, model, offset)
-        for snap, expected in zip(capture.snapshots, long_stream):
-            assert np.array_equal(snap.data, expected)
+        for row, expected in zip(capture.snapshots, long_stream):
+            assert np.array_equal(row, expected)
 
 
 @SETTINGS

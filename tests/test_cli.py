@@ -160,6 +160,19 @@ def test_estimate_cir_json_lines(tmp_path, capsys):
     assert int(np.argmax(np.abs(taps))) == 3
 
 
+def test_the_capture_block_reaches_the_estimator_uncopied(tmp_path, monkeypatch):
+    _, config_path, channel_path = _write_inputs(tmp_path, noise_std=0.02, snapshots=3)
+    capture_path = tmp_path / "run.capture"
+    assert main(["simulate", "--config", config_path, "--channel", channel_path,
+                 "--out", str(capture_path)]) == 0
+    capture = cli.read_capture(capture_path)
+    given, estimate = [], cli.estimate_response
+    monkeypatch.setattr(cli, "estimate_response",
+                        lambda snap, wf: given.append(snap) or estimate(snap, wf))
+    assert cli._response_block(capture).bins.shape == (3, 64)
+    assert len(given) == 1 and given[0].data is capture.snapshots
+
+
 def test_calibrated_response_workflow(tmp_path, capsys, monkeypatch):
     # Calibrating against a capture and estimating the same capture with
     # that profile must give a flat unit response.

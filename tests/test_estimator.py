@@ -49,8 +49,14 @@ def _measure(wf, model, acfg=PASSTHROUGH):
 
 def _block_snapshot(capture):
     """The capture's snapshots as one ``(N, signal_len)`` snapshot."""
-    return Snapshot(data=np.stack([snap.data for snap in capture.snapshots]),
-                    snapshot_index=0, config=capture.config.averager_config())
+    return Snapshot(data=capture.snapshots, snapshot_index=0,
+                    config=capture.config.averager_config())
+
+
+def _row_snapshots(capture):
+    """The capture's snapshots, one ``Snapshot`` per row."""
+    acfg = capture.config.averager_config()
+    return [Snapshot(row, k, acfg) for k, row in enumerate(capture.snapshots)]
 
 
 def test_block_estimate_matches_each_snapshot_bit_for_bit():
@@ -68,7 +74,7 @@ def test_block_estimate_matches_each_snapshot_bit_for_bit():
     block = estimate_response(_block_snapshot(measured), wf)
     assert block.bins.shape == (5, 64)
     assert np.array_equal(block.occupied_mask, wf.occupied_mask)
-    rows = [estimate_response(snap, wf) for snap in measured.snapshots]
+    rows = [estimate_response(snap, wf) for snap in _row_snapshots(measured)]
     assert len({row.bins.tobytes() for row in rows}) == 5  # noise differs per row
     for got, row in zip(block.bins, rows):
         assert np.array_equal(got, row.bins)
@@ -276,7 +282,7 @@ def test_read_tap_gains_reads_each_row_of_a_block():
     gains = read_tap_gains(block, wf.occupied_mask, delays)
     assert gains.shape == (3, 3)
     assert len({row.tobytes() for row in gains}) == 3  # noise differs per row
-    for got, snap in zip(gains, measured.snapshots):
+    for got, snap in zip(gains, _row_snapshots(measured), strict=True):
         row = read_tap_gains(to_cir(estimate_response(snap, wf)), wf.occupied_mask, delays)
         assert np.array_equal(got, row)
     assert read_tap_gains(block, wf.occupied_mask, []).shape == (3, 0)

@@ -55,6 +55,13 @@ def test_campaign_binds_no_oracle():
     assert not oracles & set(vars(campaign))
 
 
+def test_campaign_binds_no_snapshot():
+    # A capture holds one (N, signal_len) block: campaign never wraps a row
+    # in a Snapshot, so it has no use for the name.
+    from soundersim import campaign
+    assert "Snapshot" not in vars(campaign)
+
+
 def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):
     # The export forks its workers with os.fork alone: multiprocessing or
     # concurrent.futures would add their import time to every CLI start.
