@@ -93,7 +93,9 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
 
     Returns:
         ``(samples, clipped)`` where ``clipped`` is the number of I/Q
-        components (not samples) that hit a rail.
+        components (not samples) whose rounded value lies outside
+        ``[INT_MIN, INT_MAX]`` and was saturated to that rail.  A block
+        whose extremes lie within the rails skips the count and the clip.
     """
     values = np.asarray(values, dtype=np.complex128)
     out = np.empty(values.shape, dtype=SAMPLE_DTYPE)
@@ -108,8 +110,9 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
         scaled = raw[: len(block)]
         np.multiply(block, FULL_SCALE, out=scaled)
         np.rint(scaled, out=scaled)
-        clipped += int(np.count_nonzero(scaled < INT_MIN))
-        clipped += int(np.count_nonzero(scaled > INT_MAX))
-        np.clip(scaled, INT_MIN, INT_MAX, out=scaled)
+        if scaled.min() < INT_MIN or scaled.max() > INT_MAX:  # NaN fails both
+            clipped += int(np.count_nonzero(scaled < INT_MIN))
+            clipped += int(np.count_nonzero(scaled > INT_MAX))
+            np.clip(scaled, INT_MIN, INT_MAX, out=scaled)
         words[lo : lo + 2 * BLOCK_LEN] = scaled
     return out, clipped

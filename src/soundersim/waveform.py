@@ -15,6 +15,7 @@ which is what makes averaging across repetitions exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -101,6 +102,7 @@ class SoundingWaveform:
     time_signal: np.ndarray  # complex128, length fft_size
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def build_sounding_symbol(
     zc: ZcParams, fft_size: int = 1024, backoff: float = 0.5
 ) -> SoundingWaveform:
@@ -114,7 +116,8 @@ def build_sounding_symbol(
 
     Returns:
         The waveform with scaled frequency bins and their exact inverse
-        DFT as the time signal.
+        DFT as the time signal.  It is built once per argument tuple and
+        shared, so its arrays are read-only: ``.copy()`` one to edit it.
     """
     if fft_size < 1:
         raise ConfigurationError(f"fft_size must be >= 1, got {fft_size}")
@@ -132,6 +135,7 @@ def build_sounding_symbol(
     scale = backoff / peak
     bins *= scale
     time_signal = np.fft.ifft(bins)
+    mask.flags.writeable = bins.flags.writeable = time_signal.flags.writeable = False
     return SoundingWaveform(
         fft_size=fft_size,
         occupied_mask=mask,

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import sys
 import threading
@@ -624,6 +625,20 @@ def test_read_rejects_payload_size_mismatch(tmp_path):
     path.write_bytes(raw + b"\x00\x00\x00\x00")
     with pytest.raises(CaptureFormatError, match="payload"):
         read_capture(path)
+
+
+def test_read_capture_reads_a_pipe(tmp_path):
+    # A pipe has no size to read ahead of its bytes (fstat says 0).
+    path, raw = _write_valid_capture(tmp_path)
+    fifo = tmp_path / "capture.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
+    writer.start()
+    try:
+        got = read_capture(fifo)
+    finally:
+        writer.join()
+    assert np.array_equal(got.snapshots, read_capture(path).snapshots)
 
 
 _RAGGED = r"snapshots must form one \(2, 64\) block: .* inhomogeneous shape"

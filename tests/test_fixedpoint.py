@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from soundersim import fixedpoint as fp
 from soundersim.averager import AveragerConfig, select_and_average
@@ -38,6 +39,54 @@ def test_quantize_headroom_never_clips():
     values *= 1 - 2**-15
     _, clipped = fp.quantize_clipped(values)
     assert clipped == 0
+
+
+@pytest.mark.parametrize("value, code, clipped", [
+    (-1.0, -32768, 0),
+    (-1 - 2**-16, -32768, 0),  # -32768.5 rounds half-even onto the rail
+    (1 - 2**-16, 32767, 1),  # 32767.5 rounds half-even to 32768, past the rail
+    (-1 - 2**-15, -32768, 1),
+    (1 - 2**-15, 32767, 0),
+])
+def test_clip_count_counts_rounded_values_outside_the_rails(value, code, clipped):
+    samples, count = fp.quantize_clipped(np.array([value + 0j, 1j * value]))
+    assert samples["i"].tolist() == [code, 0] and samples["q"].tolist() == [0, code]
+    assert count == 2 * clipped
+
+
+def _unguarded_quantize_clipped(values):
+    """Round, count and clip every component in one pass, with no skipping."""
+    parts = np.rint(np.asarray(values, np.complex128).view(np.float64) * fp.FULL_SCALE)
+    clipped = np.count_nonzero(parts < fp.INT_MIN) + np.count_nonzero(parts > fp.INT_MAX)
+    samples = np.clip(parts, fp.INT_MIN, fp.INT_MAX).astype("<i2").view(fp.SAMPLE_DTYPE)
+    return samples, int(clipped)
+
+
+_COMPONENTS = st.one_of(
+    st.floats(-1.1, 1.1),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([-np.inf, np.inf, -1.0, -1 - 2**-16, 1 - 2**-16, -1 - 2**-15]),
+)
+
+
+@given(length=st.sampled_from([0, 1, fp.BLOCK_LEN - 1, fp.BLOCK_LEN, fp.BLOCK_LEN + 1,
+                               2 * fp.BLOCK_LEN + 3]),
+       background=st.sampled_from([0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1),
+       placed=st.lists(st.tuples(st.integers(0, 2**31), st.booleans(), _COMPONENTS),
+                       max_size=6))
+def test_quantize_clipped_matches_an_unguarded_oracle(length, background, seed, placed):
+    # Blocks whose extremes stay within the rails skip the count and the
+    # clip; samples and counts must be those of clipping every block.
+    rng = np.random.default_rng(seed)
+    values = background * (rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length))
+    for where, imag, component in placed:
+        if length:
+            (values.imag if imag else values.real)[where % length] = component
+    samples, clipped = fp.quantize_clipped(values)
+    expected, expected_clipped = _unguarded_quantize_clipped(values)
+    assert samples.tobytes() == expected.tobytes()
+    assert clipped == expected_clipped
 
 
 def test_to_float_examples():

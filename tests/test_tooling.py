@@ -1,5 +1,6 @@
 """What a ``soundersim`` process loads, and how the suite reports a failure."""
 
+import ast
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +62,55 @@ def test_campaign_binds_no_snapshot():
     # in a Snapshot, so it has no use for the name.
     from soundersim import campaign
     assert "Snapshot" not in vars(campaign)
+
+
+def _caches(source: str) -> dict[int, bool]:
+    """Line of each functools cache in ``source``: is it bounded?
+
+    Bounded is an ``lru_cache`` called with an integer ``maxsize``;
+    ``functools.cache`` never is."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.update({node.lineno: False for a in node.names if a.name == "cache"})
+        of_functools = (isinstance(node, ast.Attribute)
+                        and getattr(node.value, "id", "") == "functools")
+        name = node.attr if of_functools else getattr(node, "id", None)  # an ast.Name's id
+        if of_functools and name == "cache":
+            found[node.lineno] = False
+        elif name == "lru_cache":
+            call = calls.get(id(node))
+            keywords = {k.arg: k.value for k in call.keywords} if call else {}
+            size = keywords.get("maxsize", call.args[0] if call and call.args else None)
+            found[node.lineno] = type(getattr(size, "value", None)) is int
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("@functools.lru_cache(maxsize=16, typed=True)\ndef f(): pass", {1: True}),
+    ("from functools import lru_cache\nf = lru_cache(8)(g)", {2: True}),
+    ("@functools.lru_cache\ndef f(): pass", {1: False}),
+    ("@functools.lru_cache()\ndef f(): pass", {1: False}),
+    ("@functools.lru_cache(maxsize=None)\ndef f(): pass", {1: False}),
+    ("@lru_cache(None)\ndef f(): pass", {1: False}),
+    ("@functools.cache\ndef f(): pass", {1: False}),
+    ("from functools import cache, partial", {1: False}),
+    ("cache = {}\nself.cache.clear()", {}),
+], ids=["maxsize-keyword", "maxsize-positional", "bare", "no-maxsize", "maxsize-none",
+        "positional-none", "cache", "import-cache", "other-caches"])
+def test_cache_scan(source, expected):
+    assert _caches(source) == expected
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # A cache keyed by configuration lives as long as the process: an
+    # unbounded one keeps every configuration a long session has seen.
+    caches = {f"{path.name}:{line}": bounded
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              for line, bounded in _caches(path.read_text(encoding="utf-8")).items()}
+    assert len(caches) >= 2 and all(caches.values()), caches
 
 
 def test_cli_and_a_forked_export_load_no_process_pool(tmp_path):

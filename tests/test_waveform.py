@@ -117,6 +117,40 @@ def test_symbol_rejects_sequence_longer_than_fft():
         build_sounding_symbol(ZcParams(3, 2), -1, 0.5)
 
 
+def test_symbol_is_built_once_per_argument_tuple():
+    wf = build_sounding_symbol(ZcParams(813, 7), 1024, 0.5)
+    assert build_sounding_symbol(ZcParams(813, 7), 1024, 0.5) is wf
+    assert build_sounding_symbol(ZcParams(813, 5), 1024, 0.5) is not wf
+    # An int entry never answers a float fft_size, which np.zeros rejects.
+    with pytest.raises(TypeError):
+        build_sounding_symbol(ZcParams(813, 7), 1024.0, 0.5)
+
+
+@pytest.mark.parametrize("field", ["occupied_mask", "freq_bins", "time_signal"])
+def test_shared_symbol_arrays_are_read_only(field):
+    array = getattr(build_sounding_symbol(ZcParams(51, 2), 64, 0.5), field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[1]
+    with pytest.raises(ValueError, match="read-only"):
+        array *= True
+
+
+@pytest.mark.parametrize("args", [(ZcParams(813, 7), 1024, 0.5),
+                                  (ZcParams(51, 2), 64, 1 - 2**-15), (ZcParams(1, 1), 8, 1.0)])
+def test_cached_symbol_equals_a_fresh_build_bit_for_bit(args):
+    cached, fresh = build_sounding_symbol(*args), build_sounding_symbol.__wrapped__(*args)
+    assert cached.fft_size == fresh.fft_size
+    for field in ("occupied_mask", "freq_bins", "time_signal"):
+        a, b = getattr(cached, field), getattr(fresh, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_invalid_backoff_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="backoff"):
+            build_sounding_symbol(ZcParams(3, 2), 8, 1.5)
+
+
 def test_symbol_quantization_saturation_free_at_max_backoff():
     wf = build_sounding_symbol(ZcParams(813, 7), 1024, 1 - 2**-15)
     _, clipped = fp.quantize_clipped(wf.time_signal)
