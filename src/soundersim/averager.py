@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedStreamError
-from .fixedpoint import SAMPLE_DTYPE
+from .fixedpoint import BLOCK_LEN, SAMPLE_DTYPE
 
 #: One memory word: two complex samples, ((i0, q0), (i1, q1)).
 Word = tuple[tuple[int, int], tuple[int, int]]
@@ -251,9 +251,17 @@ def select_and_average(
         )
     window = stream[config.discard_len : config.window_len]
     words = np.ravel(window).view("<i2").reshape(config.avg_count, -1)
-    # int16 >> stays int16 and the sum fits by the avg_count <= 2**shift
-    # invariant, so accumulating in int16 is exact (never wraps).
-    acc = (words >> config.shift_bits).sum(axis=0, dtype=np.int16)
-    data = acc.astype("<i2", copy=False).view(SAMPLE_DTYPE)
+    # int16 >> stays int16 and every partial sum fits by the avg_count <=
+    # 2**shift invariant, so accumulating in int16 is exact (never wraps).
+    # Symbols are shifted and summed a group of at most BLOCK_LEN samples
+    # at a time (one symbol if longer), so no window-sized temporary is made.
+    group = min(max(1, BLOCK_LEN // config.signal_len), config.avg_count)
+    acc = words[:group] >> config.shift_bits
+    shifted = np.empty_like(acc)
+    for lo in range(group, config.avg_count, group):
+        part = shifted[: min(group, config.avg_count - lo)]
+        np.right_shift(words[lo : lo + len(part)], config.shift_bits, out=part)
+        acc[: len(part)] += part
+    data = acc.sum(axis=0, dtype=np.int16).astype("<i2", copy=False).view(SAMPLE_DTYPE)
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)
 

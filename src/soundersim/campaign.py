@@ -12,27 +12,32 @@ periodic with the frame length, and the averager reads only the first
 just the transmit samples its window depends on: the window plus the
 ``max_delay`` samples before it, at frame positions taken modulo the
 frame length (either may wrap across the frame end), which is exact for
-every sample of the window.  That segment is gathered straight from the
-quantized symbol's repetition train; the frame itself is never built.
-The channel output keeps its ``max_delay`` tail, so ``window_len + 2 *
-max_delay`` samples are propagated, and the header's saturation count
-covers exactly those.
+every sample of the window.  The channel output keeps its ``max_delay``
+tail, so ``window_len + 2 * max_delay`` samples are propagated, and the
+header's saturation count covers exactly those.  Inside the repetition
+train the segment repeats the symbol, so wherever every tap reads the
+train the noiseless tap sum repeats every ``signal_len`` samples.
+:func:`tap_sum` convolves one such period and the two edges around it
+(echoes of the zero fill before the train; the train's end and the
+convolution tail after it), bit-identical to convolving the whole
+segment; neither the segment nor the frame is built.
 
 Only the noise and interferer phases differ between snapshots, so the
-tap convolution of the segment is computed once per campaign, for static
-and noisy channels alike, and each noisy snapshot adds its own
-interference and noise to a copy of it.  Noise
-for snapshot k comes from an independent PCG64 stream spawned from the
-channel seed with key (k,), drawn over the propagated samples (the
-``"pcg64-window"`` scheme named in the header), so any snapshot can be
-reproduced without generating its predecessors.  So they run on up to
-one thread per usable core, worker w of W taking snapshots w, w + W, ...
-on its own buffers (about 1.8 MiB each at the default config), and a
-capture's payload is the same across runs, hosts, core counts and
-trigger flanks.  A static channel (no noise, no interferer) gives every
-snapshot the same samples, so its tap sum is quantized and averaged once
-and its saturation count is multiplied by the snapshot count.  No step
-calls the long-stream oracle that tests compare campaigns against.
+tap sum is computed once per campaign, for static and noisy channels
+alike, and each noisy snapshot fills a buffer from its pieces and adds
+its own interference and noise.  Noise for snapshot k comes from an
+independent PCG64 stream spawned from the channel seed with key (k,),
+drawn over the propagated samples (the ``"pcg64-window"`` scheme named
+in the header), so any snapshot can be reproduced without generating
+its predecessors.  So they run on up to one thread per usable core,
+worker w of W taking snapshots w, w + W, ... on its own buffers (about
+1.8 MiB each at the default config), and a capture's payload is the
+same across runs, hosts, core counts and trigger flanks.  A static
+channel (no noise, no interferer) gives every snapshot the same
+samples, so only its period and edges are quantized, the window (which
+repeats the period) is averaged once, and the saturation count is
+multiplied by the snapshot count.  No step calls the long-stream oracle
+that tests compare campaigns against.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -57,6 +62,7 @@ import struct
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +78,7 @@ from .config import SounderConfig, check_field_types, config_from_dict, config_t
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
 from .fixedpoint import SAMPLE_DTYPE, quantize_clipped
 from .sync import PpsSchedule, receiver_offset
-from .waveform import build_sounding_symbol, occupied_bins, tx_frame_samples
+from .waveform import SoundingWaveform, build_sounding_symbol, occupied_bins, tx_frame_samples
 
 MAGIC = b"CSND"
 FORMAT_VERSION = 1
@@ -160,6 +166,54 @@ def _usable_cores() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+class TapSum(NamedTuple):
+    """A tap sum in pieces: ``head`` up to ``start``, then ``period``
+    repeated from its first sample up to ``stop``, then ``tail``."""
+
+    head: np.ndarray
+    period: np.ndarray
+    start: int
+    stop: int
+    tail: np.ndarray
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the whole tap sum into ``out`` (complex128) and return it."""
+        whole, rest = divmod(self.stop - self.start, len(self.period))
+        out[: self.start] = self.head
+        out[self.start : self.stop - rest].reshape(whole, len(self.period))[:] = self.period
+        out[self.stop - rest : self.stop] = self.period[:rest]
+        out[self.stop :] = self.tail
+        return out
+
+
+def tap_sum(wf: SoundingWaveform, cfg: SounderConfig, model: ChannelModel,
+            offset: int) -> TapSum:
+    """:func:`convolve_taps` over the ``max_delay + window_len`` link samples
+    from ``-max_delay - offset`` on, which a snapshot's window reads.
+
+    ``offset`` is the receiver offset, in ``[0, frame_len)``.  Each
+    output gets the same arithmetic as over the whole gathered segment,
+    bit for bit, from only the samples it reads.  If :func:`validate_config`
+    passes, the averaging window lies in ``[start, stop)``.
+    """
+    tail = model.max_delay
+    seg_len = tail + cfg.averager_config().window_len
+    # The train starts at segment index t0, with the offset read as a signed
+    # lag as validate_config reads it; outputs in [start, stop) read it alone.
+    t0 = tail + offset - (cfg.frame_len if 2 * offset > cfg.frame_len else 0)
+    start = max(t0, 0) + tail
+    stop = min(t0 + cfg.train_repetitions * cfg.signal_len + model.first_arrival, seg_len)
+
+    def outputs(lo: int, hi: int) -> np.ndarray:
+        """Outputs ``lo`` to ``hi - 1``, from the segment samples they read."""
+        first = max(lo - tail, 0)
+        piece = tx_frame_samples(wf, cfg, first - tail - offset, min(hi, seg_len) - first)
+        return convolve_taps(piece, model)[lo - first : hi - first]
+
+    lead = outputs(0, start + cfg.signal_len)
+    return TapSum(lead[:start], lead[start:], start, stop, outputs(stop, seg_len + tail))
+
+
 def run_campaign(
     cfg: SounderConfig,
     model: ChannelModel,
@@ -202,21 +256,23 @@ def run_campaign(
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame_len = cfg.frame_len
     acfg = cfg.averager_config()
-
-    # The receiver sees frame[(n - offset) mod frame_len]; its window
-    # needs only its own transmit samples and the max_delay before them.
     tail = model.max_delay
     window_len = acfg.window_len
-    segment = tx_frame_samples(wf, cfg, -tail - offset, tail + window_len)
-
-    taps_out = convolve_taps(segment, model)  # the same for every snapshot
+    taps = tap_sum(wf, cfg, model, offset)  # the same for every snapshot
     if model.noise_std == 0 and not model.interferers:
         # A static channel adds nothing that depends on the snapshot
         # index: every row of the block is snapshot 0.
-        samples, clipped = quantize_clipped(taps_out)
-        first = select_and_average(samples[tail : tail + window_len], acfg)
+        period, per_period = quantize_clipped(taps.period)
+        whole, rest = divmod(taps.stop - taps.start, cfg.signal_len)
+        others = (taps.head, taps.period[:rest], taps.tail)  # the outputs not in a whole period
+        clipped = cfg.num_snapshots * (
+            whole * per_period + sum(quantize_clipped(piece)[1] for piece in others))
+        # The stream from the trigger on, with the period carried back
+        # over the discarded samples, which are never read.
+        phase = (tail - taps.start) % cfg.signal_len
+        steady = np.tile(period.view(np.uint32), window_len // cfg.signal_len + 2)
+        first = select_and_average(steady[phase : phase + window_len].view(SAMPLE_DTYPE), acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
-        clipped *= cfg.num_snapshots
     else:
         workers = min(_usable_cores(), cfg.num_snapshots)
         block = np.empty((cfg.num_snapshots, cfg.signal_len), SAMPLE_DTYPE)
@@ -225,11 +281,11 @@ def run_campaign(
         def work(w: int) -> None:
             """Snapshots w, w + workers, ... into their rows, on one buffer."""
             try:
-                received = np.empty_like(taps_out)
+                received = np.empty(window_len + 2 * tail, np.complex128)
                 for k in range(w, cfg.num_snapshots, workers):
                     if errors:  # another worker failed
                         return
-                    np.copyto(received, taps_out)
+                    taps.fill(received)
                     add_interference_and_noise(received, model, k * frame_len - tail,
                                                snapshot_rng(model.seed, k))
                     samples, clipped = quantize_clipped(received)

@@ -165,9 +165,10 @@ def tx_frame_samples(
     The transmitter replays :func:`build_tx_frame` every frame, so link
     sample ``n`` is frame sample ``m = n mod frame_len``, which is
     ``symbol[m mod signal_len]`` inside the repetition train and zero
-    after it.  The samples are copied from the train wherever it
-    overlaps, and the frame is never built.  The configuration
-    guarantees that the train fits in the frame.
+    after it.  Wherever a frame's train overlaps the range, the quantized
+    symbol is repeated over that overlap from the right phase; neither
+    the train nor the frame is built.  The configuration guarantees that
+    the train fits in the frame.
     """
     if wf.fft_size != cfg.signal_len:
         raise ConfigurationError(
@@ -176,12 +177,12 @@ def tx_frame_samples(
     # Whole records copy as 32-bit words; numpy copies structured
     # records field by field, many times slower.
     symbol = fixedpoint.quantize(wf.time_signal).view(np.uint32)
-    train = np.tile(symbol, cfg.train_repetitions)
+    train_len = cfg.train_repetitions * cfg.signal_len
     out = np.zeros(count, dtype=np.uint32)
     frame_len = cfg.frame_len
     for frame_start in range(start - start % frame_len, start + count, frame_len):
         lo = max(frame_start, start)
-        hi = min(frame_start + len(train), start + count)
-        if lo < hi:
-            out[lo - start : hi - start] = train[lo - frame_start : hi - frame_start]
+        hi = min(frame_start + train_len, start + count)
+        if lo < hi:  # symbol[(n - frame_start) mod signal_len] for n in [lo, hi)
+            out[lo - start : hi - start] = np.resize(np.roll(symbol, frame_start - lo), hi - lo)
     return out.view(fixedpoint.SAMPLE_DTYPE)

@@ -113,6 +113,23 @@ def test_vectorized_matches_state_machine_bytes(case):
             == run_state_machine(stream, cfg).data.tobytes())
 
 
+@pytest.mark.parametrize("signal_len, avg_count, shift_bits", [
+    (1024, 11, 4),  # groups of 8 symbols, the last of 3
+    (fp.BLOCK_LEN + 2, 3, 2),  # one symbol per group
+    (2, fp.BLOCK_LEN // 2 + 3, 13),  # groups of 4096 symbols, the last of 3
+])
+def test_grouped_sum_matches_state_machine(signal_len, avg_count, shift_bits):
+    # select_and_average shifts and sums at most BLOCK_LEN samples at a time.
+    rng = np.random.default_rng(signal_len)
+    cfg = AveragerConfig(signal_len=signal_len, discard_len=6, avg_count=avg_count,
+                         shift_bits=shift_bits)
+    stream = _random_stream(rng, cfg.window_len)
+    rails = rng.random(len(stream)) < 0.5  # sums near the int16 rails
+    stream["i"][rails], stream["q"][rails] = fp.INT_MIN, fp.INT_MAX
+    assert (select_and_average(stream, cfg).data.tobytes()
+            == run_state_machine(stream, cfg).data.tobytes())
+
+
 def test_state_machine_phase_walk():
     # L=4, P=2, M=3: one discard word, IN, ADD_IN, ADD_OUT, then SKIP.
     cfg = AveragerConfig(signal_len=4, discard_len=2, avg_count=3, shift_bits=2)

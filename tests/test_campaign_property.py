@@ -1,8 +1,9 @@
 """Property tests: the campaign and the channel against straightforward oracles.
 
-``run_campaign`` simulates a segment gathered from the quantized symbol,
-convolves it once per campaign and simulates a static channel once.  The
-oracles here do none of that: they build the full transmit frame and
+``run_campaign`` convolves one symbol period of the segment a window
+reads, plus its two edges, once per campaign, gathers them from the
+quantized symbol, and simulates a static channel once.  The oracles here
+do none of that: they build the full transmit frame and
 propagate every snapshot on its own, with the channel arithmetic written
 out in its plain one-pass form.
 """
@@ -11,10 +12,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from soundersim.averager import select_and_average
-from soundersim.campaign import run_campaign, snapshot_rng
+from soundersim.campaign import run_campaign, snapshot_rng, tap_sum
 from soundersim.channel import (
     ChannelModel,
     Interferer,
@@ -26,7 +27,7 @@ from soundersim.channel import (
 from soundersim.config import SounderConfig
 from soundersim.fixedpoint import SAMPLE_DTYPE, quantize_clipped
 from soundersim.sync import PpsSchedule, receiver_offset
-from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame
+from soundersim.waveform import ZcParams, build_sounding_symbol, build_tx_frame, tx_frame_samples
 
 CREATED = "2026-03-01T12:00:00+00:00"
 SETTINGS = settings(max_examples=60)
@@ -185,6 +186,38 @@ def test_campaign_matches_oracles_bit_for_bit(case):
         long_stream = _long_stream_oracle(cfg, model, offset)
         for row, expected in zip(capture.snapshots, long_stream):
             assert np.array_equal(row, expected)
+
+
+def _edge_case(signal_len, discard_len, avg_count, frame_len, taps, timing_error):
+    cfg = SounderConfig(signal_len=signal_len, discard_len=discard_len, avg_count=avg_count,
+                        shift_bits=2, rep_period_s=1e-3, sample_period_s=1e-3 / frame_len,
+                        zc=ZcParams(signal_len - 1, 2), num_snapshots=1)
+    return cfg, ChannelModel(taps=taps), timing_error
+
+
+@SETTINGS
+@example(_edge_case(  # arrives 16 samples early; the train ends and the next
+    16, 20, 2, 64,    # one starts inside the segment; max_delay is 4 + 15
+    ((4, 1.5 + 1.5j), (11, -0.7j), (19, 1.2)), -16))
+@example(_edge_case(16, 16, 3, 80, ((0, -1.5 + 1j), (15, 1.4)), 0))  # max_delay 15
+@given(campaigns())
+def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
+    # The pieces hold the same convolve_taps arithmetic as one pass over
+    # the whole gathered segment, and the averaging window lies where
+    # the tap sum repeats the period.
+    cfg, model, timing_error = case
+    offset = timing_error % cfg.frame_len
+    assume(validate_config(cfg, model, offset).passed)
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    tail, acfg = model.max_delay, cfg.averager_config()
+    whole = convolve_taps(tx_frame_samples(wf, cfg, -tail - offset, tail + acfg.window_len),
+                          model)
+    taps = tap_sum(wf, cfg, model, offset)
+    pieces = taps.fill(np.full_like(whole, np.nan))
+    assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64))
+    assert taps.start <= tail + acfg.discard_len
+    assert tail + acfg.window_len <= taps.stop
+    assert len(taps.period) == cfg.signal_len
 
 
 @SETTINGS
