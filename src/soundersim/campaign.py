@@ -24,8 +24,9 @@ segment; neither the segment nor the frame is built.
 
 Only the noise and interferer phases differ between snapshots, so the
 tap sum is computed once per campaign, for static and noisy channels
-alike, and each noisy snapshot fills a buffer from its pieces and adds
-its own interference and noise.  Noise for snapshot k comes from an
+alike, and :meth:`TapSum.fill` lays its pieces out in a buffer of any
+dtype: each noisy snapshot fills a complex one and adds its own
+interference and noise.  Noise for snapshot k comes from an
 independent PCG64 stream spawned from the channel seed with key (k,),
 drawn over the propagated samples (the ``"pcg64-window"`` scheme named
 in the header), so any snapshot can be reproduced without generating
@@ -34,9 +35,9 @@ worker w of W taking snapshots w, w + W, ... on its own buffers (about
 1.8 MiB each at the default config), and a capture's payload is the
 same across runs, hosts, core counts and trigger flanks.  A static
 channel (no noise, no interferer) gives every snapshot the same
-samples, so only its period and edges are quantized, the window (which
-repeats the period) is averaged once, and the saturation count is
-multiplied by the snapshot count.  No step calls the long-stream oracle
+samples, so its pieces are quantized once and laid out like a noisy
+worker's buffer, its window is averaged once, and the saturation count
+is multiplied by the snapshot count.  No step calls the long-stream oracle
 that tests compare campaigns against.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
@@ -177,7 +178,7 @@ class TapSum(NamedTuple):
     tail: np.ndarray
 
     def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the whole tap sum into ``out`` (complex128) and return it."""
+        """Write the whole tap sum into ``out``, of any dtype, and return it."""
         whole, rest = divmod(self.stop - self.start, len(self.period))
         out[: self.start] = self.head
         out[self.start : self.stop - rest].reshape(whole, len(self.period))[:] = self.period
@@ -260,19 +261,16 @@ def run_campaign(
     window_len = acfg.window_len
     taps = tap_sum(wf, cfg, model, offset)  # the same for every snapshot
     if model.noise_std == 0 and not model.interferers:
-        # A static channel adds nothing that depends on the snapshot
-        # index: every row of the block is snapshot 0.
-        period, per_period = quantize_clipped(taps.period)
+        # A static channel adds nothing that depends on the snapshot index:
+        # every row is snapshot 0, laid out and averaged as a noisy worker's.
         whole, rest = divmod(taps.stop - taps.start, cfg.signal_len)
-        others = (taps.head, taps.period[:rest], taps.tail)  # the outputs not in a whole period
-        clipped = cfg.num_snapshots * (
-            whole * per_period + sum(quantize_clipped(piece)[1] for piece in others))
-        # The stream from the trigger on, with the period carried back
-        # over the discarded samples, which are never read.
-        phase = (tail - taps.start) % cfg.signal_len
-        steady = np.tile(period.view(np.uint32), window_len // cfg.signal_len + 2)
-        first = select_and_average(steady[phase : phase + window_len].view(SAMPLE_DTYPE), acfg)
+        (head, h), (period, p), (end, t), (_, r) = map(
+            quantize_clipped, (taps.head, taps.period, taps.tail, taps.period[:rest]))
+        words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
+                       end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
+        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
+        clipped = cfg.num_snapshots * (h + whole * p + r + t)  # the whole tap sum's clips
     else:
         workers = min(_usable_cores(), cfg.num_snapshots)
         block = np.empty((cfg.num_snapshots, cfg.signal_len), SAMPLE_DTYPE)
@@ -332,20 +330,19 @@ def storage_rate_bytes(cfg: SounderConfig) -> float:
     return cfg.signal_len * SAMPLE_DTYPE.itemsize / cfg.rep_period_s
 
 
+#: The :class:`Capture` fields a header holds under their own names.
+_HEADER_FIELDS = ("channel_digest", "prng", "seed", "created", "clipped_components")
+
+
 def _header_dict(capture: Capture) -> dict:
-    dc_included = bool(0 in occupied_bins(capture.config.zc.length,
-                                          capture.config.signal_len))
+    cfg = capture.config
     return {
         "format": MAGIC.decode("ascii"),
         "version": FORMAT_VERSION,
-        "config": config_to_dict(capture.config),
-        "channel_digest": capture.channel_digest,
-        "prng": capture.prng,
-        "seed": capture.seed,
-        "created": capture.created,
-        "clipped_components": capture.clipped_components,
-        "dc_bin_included": dc_included,
-        "snapshot_count": len(capture.snapshots),
+        "config": config_to_dict(cfg),
+        **{key: getattr(capture, key) for key in _HEADER_FIELDS},
+        "dc_bin_included": bool(0 in occupied_bins(cfg.zc.length, cfg.signal_len)),
+        "snapshot_count": cfg.num_snapshots,
     }
 
 
@@ -385,17 +382,14 @@ def read_capture(path) -> Capture:
         raise CaptureFormatError(f"malformed capture header: {exc}") from exc
     try:
         cfg = config_from_dict(header["config"])
-        count = header["snapshot_count"]
-        meta = {key: header[key] for key in
-                ("channel_digest", "prng", "seed", "created", "clipped_components")}
+        declared = header["snapshot_count"]
+        meta = {key: header[key] for key in _HEADER_FIELDS}
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
-    if type(count) is not int:
-        raise CaptureFormatError(
-            f"capture header snapshot_count must be an integer, got {count!r}")
-    if count < 0:
-        raise CaptureFormatError(
-            f"capture header snapshot_count must be in [0, inf), got {count}")
+    count = cfg.num_snapshots
+    if type(declared) is not int or declared != count:
+        raise CaptureFormatError(f"capture header snapshot_count must be the config's "
+                                 f"num_snapshots, {count}, got {declared!r}")
     record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
     expected = count * record_bytes
     payload = memoryview(raw)[header_end:]

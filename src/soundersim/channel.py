@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fixedpoint
-from .config import MALFORMED, SounderConfig, _is_integer, from_json, read_json
+from .config import MALFORMED, SounderConfig, _is_integer, from_json, read_json, write_json
 from .errors import ConfigurationError
 from .fixedpoint import BLOCK_LEN
 
@@ -412,9 +412,7 @@ def channel_digest(model: ChannelModel) -> str:
 
 def save_channel(path, model: ChannelModel) -> None:
     """Write a channel model as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, channel_to_dict(model), indent=2)
 
 
 def load_channel(path) -> ChannelModel:

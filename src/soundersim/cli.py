@@ -40,6 +40,7 @@ from .channel import load_channel, validate_config
 from .config import load_config
 from .errors import SounderError
 from .estimator import (
+    CalibrationProfile,
     apply_calibration,
     build_calibration,
     estimate_response,
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build a calibration profile from a back-to-back capture")
     p.add_argument("capture", help="back-to-back capture file")
     p.add_argument("--out", required=True, help="output calibration JSON")
-    p.add_argument("--threshold", type=float, default=1e-3,
+    p.add_argument("--threshold", type=float, default=CalibrationProfile.threshold,
                    help="minimum reference bin magnitude")
     p.set_defaults(func=_cmd_calibrate)
 

@@ -184,6 +184,12 @@ def read_json(path, what: str):
             raise ConfigurationError(f"{what} file is not valid JSON: {exc}") from exc
 
 
+def write_json(path, value, indent: int | None = None) -> None:
+    """Write ``value`` to ``path`` as JSON text, indented by ``indent``, and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(value, indent=indent) + "\n")
+
+
 def config_from_dict(data: dict) -> SounderConfig:
     """Inverse of :func:`config_to_dict`; field types are checked."""
     try:
@@ -195,9 +201,7 @@ def config_from_dict(data: dict) -> SounderConfig:
 
 def save_config(path, cfg: SounderConfig) -> None:
     """Write a configuration as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(path, config_to_dict(cfg), indent=2)
 
 
 def load_config(path) -> SounderConfig:

@@ -27,7 +27,6 @@ of both RF chains.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import fixedpoint
 from .averager import Snapshot
-from .config import MALFORMED, from_json, read_json
+from .config import MALFORMED, from_json, read_json, write_json
 from .errors import ConfigurationError, DegenerateWaveformError
 from .waveform import SoundingWaveform
 
@@ -223,7 +222,7 @@ class CalibrationProfile:
 
 
 def build_calibration(
-    response: FrequencyResponse, threshold: float = 1e-3
+    response: FrequencyResponse, threshold: float = CalibrationProfile.threshold
 ) -> CalibrationProfile:
     """Average back-to-back responses into a calibration profile.
 
@@ -302,9 +301,7 @@ def calibration_from_dict(data: dict) -> CalibrationProfile:
 
 def save_calibration(path, profile: CalibrationProfile) -> None:
     """Write a calibration profile as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(calibration_to_dict(profile), fh)
-        fh.write("\n")
+    write_json(path, calibration_to_dict(profile))
 
 
 def load_calibration(path) -> CalibrationProfile:

@@ -89,17 +89,19 @@ def occupied_bins(count: int, fft_size: int) -> np.ndarray:
 class SoundingWaveform:
     """One sounding symbol in both domains.
 
-    ``time_signal`` is exactly the inverse DFT of ``freq_bins``; the
-    amplitude scale lives in the bins.  The scale is chosen so the
-    largest I or Q excursion of the time signal equals the ``backoff``
-    fraction of full scale given to :func:`build_sounding_symbol`, which
-    keeps quantization saturation-free for any backoff <= 1 - 2**-15.
+    ``time_signal`` is exactly the inverse DFT of ``freq_bins`` and
+    ``samples``, what the transmitter sends, is its quantization; the
+    amplitude scale lives in the bins.  The scale is chosen so the largest
+    I or Q excursion of the time signal equals the ``backoff`` fraction of
+    full scale given to :func:`build_sounding_symbol`, which keeps
+    quantization saturation-free for any backoff <= 1 - 2**-15.
     """
 
     fft_size: int
     occupied_mask: np.ndarray  # bool, length fft_size
     freq_bins: np.ndarray  # complex128, zero outside the mask
     time_signal: np.ndarray  # complex128, length fft_size
+    samples: np.ndarray  # SAMPLE_DTYPE, length fft_size
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -115,8 +117,8 @@ def build_sounding_symbol(
             full scale.  Must be in (0, 1].
 
     Returns:
-        The waveform with scaled frequency bins and their exact inverse
-        DFT as the time signal.  It is built once per argument tuple and
+        The waveform with scaled frequency bins, their exact inverse DFT
+        and its quantization.  It is built once per argument tuple and
         shared, so its arrays are read-only: ``.copy()`` one to edit it.
     """
     if fft_size < 1:
@@ -135,17 +137,20 @@ def build_sounding_symbol(
     scale = backoff / peak
     bins *= scale
     time_signal = np.fft.ifft(bins)
-    mask.flags.writeable = bins.flags.writeable = time_signal.flags.writeable = False
+    samples = fixedpoint.quantize(time_signal)
+    for array in (mask, bins, time_signal, samples):
+        array.flags.writeable = False
     return SoundingWaveform(
         fft_size=fft_size,
         occupied_mask=mask,
         freq_bins=bins,
         time_signal=time_signal,
+        samples=samples,
     )
 
 
 def build_tx_frame(wf: SoundingWaveform, cfg: "SounderConfig") -> np.ndarray:
-    """Quantize the symbol and assemble one transmit frame.
+    """Assemble one transmit frame from the quantized symbol.
 
     The frame is ``cfg.frame_len`` samples: a train of identical
     quantized symbols long enough to feed the receiver's discard and
@@ -165,10 +170,10 @@ def tx_frame_samples(
     The transmitter replays :func:`build_tx_frame` every frame, so link
     sample ``n`` is frame sample ``m = n mod frame_len``, which is
     ``symbol[m mod signal_len]`` inside the repetition train and zero
-    after it.  Wherever a frame's train overlaps the range, the quantized
-    symbol is repeated over that overlap from the right phase; neither
-    the train nor the frame is built.  The configuration guarantees that
-    the train fits in the frame.
+    after it.  Wherever a frame's train overlaps the range, ``wf.samples``,
+    the symbol quantized once when ``wf`` was built, is repeated over that
+    overlap from the right phase; neither the train nor the frame is
+    built.  The configuration guarantees that the train fits in the frame.
     """
     if wf.fft_size != cfg.signal_len:
         raise ConfigurationError(
@@ -176,7 +181,7 @@ def tx_frame_samples(
         )
     # Whole records copy as 32-bit words; numpy copies structured
     # records field by field, many times slower.
-    symbol = fixedpoint.quantize(wf.time_signal).view(np.uint32)
+    symbol = wf.samples.view(np.uint32)
     train_len = cfg.train_repetitions * cfg.signal_len
     out = np.zeros(count, dtype=np.uint32)
     frame_len = cfg.frame_len

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from soundersim.averager import select_and_average
-from soundersim.campaign import run_campaign, snapshot_rng, tap_sum
+from soundersim.campaign import TapSum, run_campaign, snapshot_rng, tap_sum
 from soundersim.channel import (
     ChannelModel,
     Interferer,
@@ -218,6 +218,16 @@ def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
     assert taps.start <= tail + acfg.discard_len
     assert tail + acfg.window_len <= taps.stop
     assert len(taps.period) == cfg.signal_len
+    # A static campaign quantizes the pieces, not the whole: laid out in a
+    # uint32 buffer they are the whole quantized, and the period's clips,
+    # counted once per whole period, add up to the whole's.
+    samples, clipped = quantize_clipped(whole)
+    (head, h), (period, p), (end, t) = map(quantize_clipped, (taps.head, taps.period, taps.tail))
+    words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
+                   end.view(np.uint32)).fill(np.zeros(len(whole), np.uint32))
+    assert np.array_equal(words, samples.view(np.uint32))
+    periods, rest = divmod(taps.stop - taps.start, len(taps.period))
+    assert h + periods * p + quantize_clipped(taps.period[:rest])[1] + t == clipped
 
 
 @SETTINGS

@@ -289,11 +289,14 @@ def test_capture_header_with_non_integer_count_exits_5(tmp_path, capsys, command
 
 @pytest.mark.parametrize("key, value", [
     ("seed", -1), ("seed", 2**64), ("clipped_components", -3), ("snapshot_count", -1),
+    ("snapshot_count", 3),
 ])
 @pytest.mark.parametrize("command", ["report", "estimate"])
 def test_capture_header_with_out_of_range_count_exits_5(tmp_path, capsys, command,
                                                         key, value):
-    # A negative seed or saturation count used to be reported as read.
+    # A negative seed or saturation count used to be reported as read.  A
+    # snapshot count above the config's 2, over the 2 snapshots the config
+    # describes, used to be reported as a payload size mismatch.
     err = _run_on_edited_header(tmp_path, capsys, command,
                                 lambda header: header.update({key: value}))
     assert key in err["message"]
