@@ -236,13 +236,15 @@ def run_state_machine(
 
 
 def select_and_average(
-    stream: np.ndarray, config: AveragerConfig, snapshot_index: int = 0
+    stream: np.ndarray, config: AveragerConfig, snapshot_index: int = 0,
+    in_place: bool = False,
 ) -> Snapshot:
     """Vectorized golden model, bit-identical to the state machine.
 
     ``stream`` must start at the trigger; the first ``discard_len``
     samples are dropped, the next ``avg_count * signal_len`` are
-    shifted and summed.
+    shifted and summed.  With ``in_place`` they are shifted where they
+    lie, so the caller's samples are scratch and no temporary is made.
     """
     if len(stream) < config.window_len:
         raise TruncatedStreamError(
@@ -253,15 +255,15 @@ def select_and_average(
     words = np.ravel(window).view("<i2").reshape(config.avg_count, -1)
     # int16 >> stays int16 and every partial sum fits by the avg_count <=
     # 2**shift invariant, so accumulating in int16 is exact (never wraps).
-    # Symbols are shifted and summed a group of at most BLOCK_LEN samples
-    # at a time (one symbol if longer), so no window-sized temporary is made.
-    group = min(max(1, BLOCK_LEN // config.signal_len), config.avg_count)
-    acc = words[:group] >> config.shift_bits
-    shifted = np.empty_like(acc)
+    # Unless in place, symbols are shifted and summed a group of at most
+    # BLOCK_LEN samples at a time (one symbol if longer): no window-sized temporary.
+    group = config.avg_count if in_place else min(
+        max(1, BLOCK_LEN // config.signal_len), config.avg_count)
+    acc = np.right_shift(words[:group], config.shift_bits, out=words[:group] if in_place else None)
+    shifted = np.empty_like(acc[: config.avg_count - group])
     for lo in range(group, config.avg_count, group):
         part = shifted[: min(group, config.avg_count - lo)]
         np.right_shift(words[lo : lo + len(part)], config.shift_bits, out=part)
         acc[: len(part)] += part
     data = acc.sum(axis=0, dtype=np.int16).astype("<i2", copy=False).view(SAMPLE_DTYPE)
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)
-

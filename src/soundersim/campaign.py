@@ -31,8 +31,10 @@ independent PCG64 stream spawned from the channel seed with key (k,),
 drawn over the propagated samples (the ``"pcg64-window"`` scheme named
 in the header), so any snapshot can be reproduced without generating
 its predecessors.  So they run on up to one thread per usable core,
-worker w of W taking snapshots w, w + W, ... on its own buffers (about
-1.8 MiB each at the default config), and a capture's payload is the
+worker w of W taking snapshots w, w + W, ... on buffers it allocates once
+per campaign (the window's complex128 samples, their int16 image and
+float64 scratch for the tones and noise, about 1.8 MiB at the default
+config), quantizing and averaging in place, and a capture's payload is the
 same across runs, hosts, core counts and trigger flanks.  A static
 channel (no noise, no interferer) gives every snapshot the same
 samples, so its pieces are quantized once and laid out like a noisy
@@ -69,6 +71,7 @@ import numpy as np
 
 from .averager import select_and_average
 from .channel import (
+    SCRATCH_LEN,
     ChannelModel,
     add_interference_and_noise,
     channel_digest,
@@ -77,7 +80,7 @@ from .channel import (
 )
 from .config import SounderConfig, check_field_types, config_from_dict, config_to_dict
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
-from .fixedpoint import SAMPLE_DTYPE, quantize_clipped
+from .fixedpoint import SAMPLE_DTYPE, quantize_clipped, quantize_in_place
 from .sync import PpsSchedule, receiver_offset
 from .waveform import SoundingWaveform, build_sounding_symbol, occupied_bins, tx_frame_samples
 
@@ -268,7 +271,8 @@ def run_campaign(
             quantize_clipped, (taps.head, taps.period, taps.tail, taps.period[:rest]))
         words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
                        end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
-        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
+        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg,
+                                   in_place=True)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
         clipped = cfg.num_snapshots * (h + whole * p + r + t)  # the whole tap sum's clips
     else:
@@ -277,19 +281,19 @@ def run_campaign(
         clips, errors = [0] * workers, []
 
         def work(w: int) -> None:
-            """Snapshots w, w + workers, ... into their rows, on one buffer."""
+            """Snapshots w, w + workers, ... into their rows, on buffers of its own."""
             try:
                 received = np.empty(window_len + 2 * tail, np.complex128)
+                samples = np.empty(len(received), SAMPLE_DTYPE)
+                scratch = np.empty((2, SCRATCH_LEN))
                 for k in range(w, cfg.num_snapshots, workers):
                     if errors:  # another worker failed
                         return
-                    taps.fill(received)
-                    add_interference_and_noise(received, model, k * frame_len - tail,
-                                               snapshot_rng(model.seed, k))
-                    samples, clipped = quantize_clipped(received)
-                    clips[w] += clipped
-                    block[k] = select_and_average(samples[tail : tail + window_len],
-                                                  acfg, snapshot_index=k).data
+                    add_interference_and_noise(taps.fill(received), model, k * frame_len - tail,
+                                               snapshot_rng(model.seed, k), scratch)
+                    clips[w] += quantize_in_place(received, samples)
+                    block[k] = select_and_average(samples[tail : tail + window_len], acfg,
+                                                  snapshot_index=k, in_place=True).data
             except BaseException as exc:  # raised again by the calling thread
                 errors.append(exc)
 

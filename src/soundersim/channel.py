@@ -36,13 +36,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fixedpoint
-from .config import MALFORMED, SounderConfig, _is_integer, from_json, read_json, write_json
+from .config import MALFORMED, SounderConfig, _is_integer, from_json, read_json, to_dict, write_json
 from .errors import ConfigurationError
 from .fixedpoint import BLOCK_LEN
 
@@ -201,13 +201,18 @@ def _row_tables(freq: float) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _add_tone(out: np.ndarray, tone: Interferer, start_index: int) -> None:
+#: Doubles in each of the two rows of the scratch that the tone and noise
+#: loops work in: 64 tone rows, or 16 noise blocks of ``BLOCK_LEN`` draws.
+SCRATCH_LEN = 4 * BLOCK_LEN
+
+
+def _add_tone(out: np.ndarray, tone: Interferer, start_index: int, scratch: np.ndarray) -> None:
     """Add ``tone`` at absolute indices ``start_index, ...`` to ``out`` in place.
 
     Each row's coarse value ``A·e^{iφ}·C·M = rr + i·ri`` is computed once.
     A block of rows times ``F`` is ``rr·F + ri·(i·F)`` over interleaved
-    (re, im) pairs, the same real arithmetic as :func:`_cmul`, and is
-    added to the piece of ``out`` it covers.
+    (re, im) pairs, the same real arithmetic as :func:`_cmul`, worked out
+    in the two rows of ``scratch`` and added to the piece of ``out`` it covers.
     """
     first, last = start_index >> 8, (start_index + len(out) - 1) >> 8
     spin = np.exp(complex(0.0, tone.phase))
@@ -217,15 +222,15 @@ def _add_tone(out: np.ndarray, tone: Interferer, start_index: int) -> None:
     rows = np.arange(first, last + 1)
     top, mid = (rows >> 8) - (first >> 8), rows & 255
     row_r, row_i = _cmul(top_r[top], top_i[top], mid_r[mid], mid_i[mid])
-    per_block = BLOCK_LEN // _ROW
-    pairs = np.empty((per_block, _ROW, 2))
-    scratch = np.empty_like(pairs)
+    per_block = scratch.shape[1] // (2 * _ROW)
+    pairs, product = (part[: per_block * 2 * _ROW].reshape(per_block, _ROW, 2)
+                      for part in scratch)
     for r in range(0, len(rows), per_block):
         k = min(per_block, len(rows) - r)
         np.multiply(row_r[r : r + k, np.newaxis, np.newaxis], fine, out=pairs[:k])
         np.multiply(row_i[r : r + k, np.newaxis, np.newaxis], fine_times_i,
-                    out=scratch[:k])
-        np.add(pairs[:k], scratch[:k], out=pairs[:k])
+                    out=product[:k])
+        np.add(pairs[:k], product[:k], out=pairs[:k])
         block = pairs[:k].view(np.complex128).reshape(-1)
         lo = (first + r) * _ROW - start_index  # where the block starts in ``out``
         a, b = max(lo, 0), min(lo + len(block), len(out))
@@ -237,6 +242,7 @@ def add_interference_and_noise(
     model: ChannelModel,
     start_index: int = 0,
     rng: np.random.Generator | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add the interferer tones, then the noise, to ``out`` in place.
 
@@ -252,21 +258,22 @@ def add_interference_and_noise(
         rng: noise generator; defaults to a fresh PCG64 seeded with
             ``model.seed``.  All real parts are drawn before the
             imaginary parts.
+        scratch: float64 ``(2, n)`` work space, ``n`` a multiple of 512; made if not given.
 
     Returns:
         ``out``.
     """
-    starts = range(0, len(out), BLOCK_LEN)
+    scratch = np.empty((2, SCRATCH_LEN)) if scratch is None else scratch
     for tone in model.interferers:
-        _add_tone(out, tone, start_index)
+        _add_tone(out, tone, start_index, scratch)
 
     if model.noise_std > 0:
         if rng is None:
             rng = np.random.default_rng(model.seed)
-        draw = np.empty(min(len(out), BLOCK_LEN))
+        draw = scratch.reshape(-1)
         for part in (out.real, out.imag):
-            for lo in starts:
-                block = part[lo : lo + BLOCK_LEN]
+            for lo in range(0, len(out), len(draw)):
+                block = part[lo : lo + len(draw)]
                 noise = draw[: len(block)]
                 rng.standard_normal(out=noise)
                 noise *= model.noise_std
@@ -377,8 +384,9 @@ def validate_config(
 
 def channel_to_dict(model: ChannelModel) -> dict:
     """JSON-ready dict representation (complex values as [re, im])."""
-    data = asdict(model)
+    data = to_dict(model)
     data["taps"] = [{"delay": d, "gain": [g.real, g.imag]} for d, g in model.taps]
+    data["interferers"] = tuple(map(to_dict, model.interferers))
     return data
 
 

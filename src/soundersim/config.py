@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .averager import AveragerConfig
 from .errors import ConfigurationError
@@ -141,9 +141,16 @@ class SounderConfig:
         )
 
 
+def to_dict(obj) -> dict:
+    """A dataclass's fields by name and in order, a nested dataclass as its
+    dict: ``dataclasses.asdict`` of a record of scalars, without deep copies."""
+    data = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {k: to_dict(v) if hasattr(v, "__dataclass_fields__") else v for k, v in data.items()}
+
+
 def config_to_dict(cfg: SounderConfig) -> dict:
     """JSON-ready dict; round-trips exactly through config_from_dict."""
-    return asdict(cfg)
+    return to_dict(cfg)
 
 
 def check_field_types(obj) -> None:

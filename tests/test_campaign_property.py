@@ -8,12 +8,16 @@ propagate every snapshot on its own, with the channel arithmetic written
 out in its plain one-pass form.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from soundersim import campaign
 from soundersim.averager import select_and_average
 from soundersim.campaign import TapSum, run_campaign, snapshot_rng, tap_sum
 from soundersim.channel import (
@@ -89,22 +93,25 @@ def _plain_quantize(values):
     return out, clipped
 
 
-def _per_snapshot_oracle(cfg, model, offset):
-    """Every snapshot from the full frame, propagated on its own."""
+def _oracle_snapshots(cfg, model, offset):
+    """Each snapshot's row and clip count, from the full frame, propagated on its own."""
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
     acfg = cfg.averager_config()
     tail = model.max_delay
     segment = frame[(np.arange(-tail, acfg.window_len) - offset) % cfg.frame_len]
-    data, clipped = [], 0
     for k in range(cfg.num_snapshots):
         received = _plain_propagate(segment, model, k * cfg.frame_len - tail,
                                     snapshot_rng(model.seed, k))
         samples, count = _plain_quantize(received)
-        clipped += count
         stream = samples[tail:tail + acfg.window_len]
-        data.append(select_and_average(stream, acfg, snapshot_index=k).data)
-    return data, clipped
+        yield select_and_average(stream, acfg, snapshot_index=k).data, count
+
+
+def _per_snapshot_oracle(cfg, model, offset):
+    """Every snapshot from the full frame, propagated on its own."""
+    snapshots = list(_oracle_snapshots(cfg, model, offset))
+    return [data for data, _ in snapshots], sum(count for _, count in snapshots)
 
 
 def _long_stream_oracle(cfg, model, offset):
@@ -132,13 +139,14 @@ tones = st.builds(
 
 
 @st.composite
-def campaigns(draw):
+def campaigns(draw, max_avg_count=4):
     """A small sounder, a channel it can measure and a valid timing error."""
     signal_len = draw(st.sampled_from([16, 32, 64]))
     zc_len = draw(st.integers(3, signal_len))
     root = draw(st.sampled_from([r for r in range(1, zc_len) if math.gcd(r, zc_len) == 1]))
-    avg_count = draw(st.integers(1, 4))
-    shift_bits = draw(st.integers((avg_count - 1).bit_length(), 3))
+    avg_count = draw(st.integers(1, max_avg_count))
+    least_shift = (avg_count - 1).bit_length()
+    shift_bits = draw(st.integers(least_shift, max(least_shift, 3)))
     first = draw(st.integers(0, 8))
     delays = draw(st.lists(st.integers(first, first + signal_len - 1),
                            min_size=0, max_size=2, unique=True))
@@ -186,6 +194,65 @@ def test_campaign_matches_oracles_bit_for_bit(case):
         long_stream = _long_stream_oracle(cfg, model, offset)
         for row, expected in zip(capture.snapshots, long_stream):
             assert np.array_equal(row, expected)
+
+
+def _check_reused_buffers(cfg, model, timing_error, cores, tone_rows):
+    """Run a campaign on ``cores`` workers whose scratch holds ``tone_rows``
+    rows of 256 tone samples, and compare it with the per-snapshot oracle.
+
+    Returns each snapshot's clip count."""
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    offset = receiver_offset(schedule)
+    with mock.patch.object(campaign, "_usable_cores", lambda: cores), \
+            mock.patch.object(campaign, "SCRATCH_LEN", 2 * 256 * tone_rows):
+        capture = run_campaign(cfg, model, schedule, created=CREATED)
+    expected = list(_oracle_snapshots(cfg, model, offset))
+    assert capture.clipped_components == sum(count for _, count in expected)
+    for row, (data, _) in zip(capture.snapshots, expected, strict=True):
+        assert np.array_equal(row, data)
+    return [count for _, count in expected]
+
+
+#: A 2150-sample segment: with one or two tone rows of scratch, the noise's
+#: blocks of 1024 or 2048 draws end inside it.
+_LONG_WINDOW = (
+    SounderConfig(signal_len=64, discard_len=80, avg_count=32, shift_bits=5,
+                  rep_period_s=1e-3, sample_period_s=1e-3 / 2176, zc=ZcParams(61, 5)),
+    ChannelModel(taps=((2, 0.7), (11, 0.3j)), noise_std=0.1,
+                 interferers=(Interferer(0.0123, 0.2, 1.0),), seed=5),
+    0,
+)
+
+
+@SETTINGS
+@example(case=_LONG_WINDOW, snapshots=5, cores=2, rows=1)
+@example(case=_LONG_WINDOW, snapshots=3, cores=1, rows=2)
+@given(case=campaigns(max_avg_count=32), snapshots=st.integers(1, 7), cores=st.integers(1, 3),
+       rows=st.integers(1, 3))
+def test_reused_worker_buffers_match_the_oracle_bit_for_bit(case, snapshots, cores, rows):
+    # A noisy worker reuses its buffers for every snapshot it takes, and
+    # works tones and noise in scratch of SCRATCH_LEN doubles per row.
+    # Cut down to a few tone rows, the tone's and the noise's block edges
+    # fall inside windows of up to 32 symbols.
+    cfg, model, timing_error = case
+    assume(validate_config(cfg, model, timing_error % cfg.frame_len).passed)
+    _check_reused_buffers(dataclasses.replace(cfg, num_snapshots=snapshots), model,
+                          timing_error, cores, rows)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_worker_alternates_clipping_and_clean_snapshots(cores):
+    # Snapshots 2 and 4 clip and the others do not, so worker 0 quantizes
+    # clean, clipping, clean, clipping, clean samples into the same buffers.
+    cfg = SounderConfig(signal_len=32, discard_len=40, avg_count=4, shift_bits=2,
+                        rep_period_s=1e-3, sample_period_s=1e-3 / 224,
+                        backoff=1.0, zc=ZcParams(31, 3), num_snapshots=7)
+    model = ChannelModel(taps=((3, 0.85), (9, 0.1j)), noise_std=0.05,
+                         interferers=(Interferer(0.1234, 0.05, 0.5),), seed=0)
+    clips = _check_reused_buffers(cfg, model, 0, cores, 1)
+    assert [bool(count) for count in clips] == [False, False, True, False, True, False, False]
 
 
 def _edge_case(signal_len, discard_len, avg_count, frame_len, taps, timing_error):

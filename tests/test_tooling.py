@@ -57,6 +57,18 @@ def test_campaign_binds_no_oracle():
     assert not oracles & set(vars(campaign))
 
 
+def test_campaign_has_no_second_quantizer_or_averager():
+    # A noisy worker quantizes through fixedpoint.quantize_in_place and
+    # averages through averager.select_and_average, so the rounding and
+    # saturation rule and the shift-and-sum each stay in one place.
+    source = (ROOT / "src" / "soundersim" / "campaign.py").read_text()
+    rules = {"rint", "round", "around", "clip", "right_shift"}
+    calls = [node.func.attr for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) == "np" and node.func.attr in rules]
+    assert calls == []
+
+
 def test_campaign_binds_no_snapshot():
     # A capture holds one (N, signal_len) block: campaign never wraps a row
     # in a Snapshot, so it has no use for the name.
