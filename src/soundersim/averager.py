@@ -28,7 +28,8 @@ Two equivalent implementations are provided:
   skipped.
 
 * :func:`select_and_average` -- the vectorized golden model used by the
-  simulator, bit-identical to the state machine.
+  simulator, bit-identical to the state machine.  It shifts the window
+  where it lies, so the caller's samples are consumed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, TruncatedStreamError
-from .fixedpoint import BLOCK_LEN, SAMPLE_DTYPE
+from .fixedpoint import SAMPLE_DTYPE
 
 #: One memory word: two complex samples, ((i0, q0), (i1, q1)).
 Word = tuple[tuple[int, int], tuple[int, int]]
@@ -236,15 +237,15 @@ def run_state_machine(
 
 
 def select_and_average(
-    stream: np.ndarray, config: AveragerConfig, snapshot_index: int = 0,
-    in_place: bool = False,
+    stream: np.ndarray, config: AveragerConfig, snapshot_index: int = 0
 ) -> Snapshot:
     """Vectorized golden model, bit-identical to the state machine.
 
     ``stream`` must start at the trigger; the first ``discard_len``
     samples are dropped, the next ``avg_count * signal_len`` are
-    shifted and summed.  With ``in_place`` they are shifted where they
-    lie, so the caller's samples are scratch and no temporary is made.
+    shifted and summed.  The window is consumed: a contiguous window is
+    shifted where it lies (so it must be writable) and no window-sized
+    temporary is made.  Pass a copy to keep the samples.
     """
     if len(stream) < config.window_len:
         raise TruncatedStreamError(
@@ -255,15 +256,6 @@ def select_and_average(
     words = np.ravel(window).view("<i2").reshape(config.avg_count, -1)
     # int16 >> stays int16 and every partial sum fits by the avg_count <=
     # 2**shift invariant, so accumulating in int16 is exact (never wraps).
-    # Unless in place, symbols are shifted and summed a group of at most
-    # BLOCK_LEN samples at a time (one symbol if longer): no window-sized temporary.
-    group = config.avg_count if in_place else min(
-        max(1, BLOCK_LEN // config.signal_len), config.avg_count)
-    acc = np.right_shift(words[:group], config.shift_bits, out=words[:group] if in_place else None)
-    shifted = np.empty_like(acc[: config.avg_count - group])
-    for lo in range(group, config.avg_count, group):
-        part = shifted[: min(group, config.avg_count - lo)]
-        np.right_shift(words[lo : lo + len(part)], config.shift_bits, out=part)
-        acc[: len(part)] += part
-    data = acc.sum(axis=0, dtype=np.int16).astype("<i2", copy=False).view(SAMPLE_DTYPE)
+    np.right_shift(words, config.shift_bits, out=words)
+    data = words.sum(axis=0, dtype=np.int16).astype("<i2", copy=False).view(SAMPLE_DTYPE)
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)

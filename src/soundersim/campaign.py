@@ -271,8 +271,7 @@ def run_campaign(
             quantize_clipped, (taps.head, taps.period, taps.tail, taps.period[:rest]))
         words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
                        end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
-        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg,
-                                   in_place=True)
+        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
         clipped = cfg.num_snapshots * (h + whole * p + r + t)  # the whole tap sum's clips
     else:
@@ -293,7 +292,7 @@ def run_campaign(
                                                snapshot_rng(model.seed, k), scratch)
                     clips[w] += quantize_in_place(received, samples)
                     block[k] = select_and_average(samples[tail : tail + window_len], acfg,
-                                                  snapshot_index=k, in_place=True).data
+                                                  snapshot_index=k).data
             except BaseException as exc:  # raised again by the calling thread
                 errors.append(exc)
 

@@ -258,12 +258,14 @@ def add_interference_and_noise(
         rng: noise generator; defaults to a fresh PCG64 seeded with
             ``model.seed``.  All real parts are drawn before the
             imaginary parts.
-        scratch: float64 ``(2, n)`` work space, ``n`` a multiple of 512; made if not given.
+        scratch: float64 ``(2, n)`` work space, ``n`` a multiple of 512, for
+            a caller that reuses it; made to fit ``out`` if not given.
 
     Returns:
         ``out``.
     """
-    scratch = np.empty((2, SCRATCH_LEN)) if scratch is None else scratch
+    if scratch is None:
+        scratch = np.empty((2, min(-(-max(len(out), 1) // 512) * 512, SCRATCH_LEN)))
     for tone in model.interferers:
         _add_tone(out, tone, start_index, scratch)
 

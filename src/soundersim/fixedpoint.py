@@ -95,33 +95,38 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
     Returns:
         ``(samples, clipped)`` where ``clipped`` is the number of I/Q
         components (not samples) whose rounded value lies outside
-        ``[INT_MIN, INT_MAX]`` and was saturated to that rail.
+        ``[INT_MIN, INT_MAX]`` and was saturated to that rail.  A block
+        whose extremes lie within the rails skips the count and the clip.
     """
     values = np.asarray(values, dtype=np.complex128)
     out = np.empty(values.shape, dtype=SAMPLE_DTYPE)
-    flat, words = np.ravel(values), out.reshape(-1)
-    scratch = np.empty(min(flat.size, BLOCK_LEN), dtype=np.complex128)
+    # Both sides as interleaved components (I, Q, I, Q, ...): one pass
+    # per block over contiguous memory handles I and Q alike.
+    parts = np.ravel(values).view(np.float64)
+    words = out.reshape(-1).view("<i2")
+    raw = np.empty(min(parts.size, 2 * BLOCK_LEN))
     clipped = 0
-    for lo in range(0, flat.size, BLOCK_LEN):
-        block = scratch[: len(flat[lo : lo + BLOCK_LEN])]
-        block[...] = flat[lo : lo + BLOCK_LEN]
-        clipped += quantize_in_place(block, words[lo : lo + BLOCK_LEN])
+    for lo in range(0, parts.size, 2 * BLOCK_LEN):
+        block = parts[lo : lo + 2 * BLOCK_LEN]
+        clipped += _round_and_saturate(block, raw[: len(block)], words[lo : lo + 2 * BLOCK_LEN])
     return out, clipped
 
 
 def quantize_in_place(values: np.ndarray, out: np.ndarray) -> int:
-    """:func:`quantize_clipped` of contiguous complex128 ``values`` into ``out``,
-    of ``SAMPLE_DTYPE``: returns the count and leaves ``values`` scaled and rounded.
+    """:func:`quantize_clipped` of contiguous complex128 ``values`` into ``out``, of
+    ``SAMPLE_DTYPE``, using ``values`` as scratch: allocates nothing on a clean run."""
+    parts = values.reshape(-1).view(np.float64)
+    return _round_and_saturate(parts, parts, out.reshape(-1).view("<i2"))
 
-    A run whose extremes lie within the rails skips the count and the
-    clip, so nothing is allocated unless a component saturates.
-    """
-    parts = values.reshape(-1).view(np.float64)  # I, Q, I, Q, ...: one pass for both
-    np.multiply(parts, FULL_SCALE, out=parts)
-    np.rint(parts, out=parts)
+
+def _round_and_saturate(parts: np.ndarray, scaled: np.ndarray, words: np.ndarray) -> int:
+    """The one rule: ``parts`` scaled, rounded and saturated into ``scaled`` (which
+    may be ``parts``), then into int16 ``words``.  Returns the saturated count."""
+    np.multiply(parts, FULL_SCALE, out=scaled)
+    np.rint(scaled, out=scaled)
     clipped = 0
-    if parts.min() < INT_MIN or parts.max() > INT_MAX:  # NaN fails both
-        clipped = int(np.count_nonzero(parts < INT_MIN) + np.count_nonzero(parts > INT_MAX))
-        np.clip(parts, INT_MIN, INT_MAX, out=parts)
-    out.reshape(-1).view("<i2")[...] = parts
+    if scaled.min() < INT_MIN or scaled.max() > INT_MAX:  # NaN fails both
+        clipped = int(np.count_nonzero(scaled < INT_MIN) + np.count_nonzero(scaled > INT_MAX))
+        np.clip(scaled, INT_MIN, INT_MAX, out=scaled)
+    words[...] = scaled
     return clipped

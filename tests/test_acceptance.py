@@ -76,7 +76,7 @@ def test_criterion_04_fixed_point_oracle_and_state_machine():
             rng.integers(-32768, 32768, cfg.window_len),
             rng.integers(-32768, 32768, cfg.window_len),
         )
-        batch = select_and_average(stream, cfg)
+        batch = select_and_average(stream.copy(), cfg)  # consumes its window
         window = stream[cfg.discard_len:cfg.window_len]
         for comp in ("i", "q"):
             exact = window[comp].astype(np.int64).reshape(64, 1024).sum(axis=0)

@@ -57,7 +57,7 @@ def test_wide_integer_oracle_bound():
     cfg = AveragerConfig(signal_len=1024, discard_len=2048, avg_count=64,
                          shift_bits=6)
     stream = _random_stream(rng, cfg.window_len)
-    snap = select_and_average(stream, cfg)
+    snap = select_and_average(stream.copy(), cfg)  # consumes its window
     window = stream[cfg.discard_len:cfg.window_len]
     for comp in ("i", "q"):
         exact = window[comp].astype(np.int64).reshape(64, 1024).sum(axis=0)
@@ -78,8 +78,8 @@ def test_streaming_matches_batch_bit_for_bit():
     for shape in shapes:
         cfg = AveragerConfig(**shape)
         stream = _random_stream(rng, cfg.window_len + 50)
-        batch = select_and_average(stream, cfg)
         streamed = run_state_machine(stream, cfg)
+        batch = select_and_average(stream, cfg)
         assert np.array_equal(batch.data, streamed.data), shape
 
 
@@ -109,25 +109,25 @@ def _averager_cases(draw):
 @given(_averager_cases())
 def test_vectorized_matches_state_machine_bytes(case):
     stream, cfg = case
-    assert (select_and_average(stream, cfg).data.tobytes()
-            == run_state_machine(stream, cfg).data.tobytes())
+    expected = run_state_machine(stream, cfg).data.tobytes()
+    assert select_and_average(stream, cfg).data.tobytes() == expected
 
 
 @pytest.mark.parametrize("signal_len, avg_count, shift_bits", [
-    (1024, 11, 4),  # groups of 8 symbols, the last of 3
-    (fp.BLOCK_LEN + 2, 3, 2),  # one symbol per group
-    (2, fp.BLOCK_LEN // 2 + 3, 13),  # groups of 4096 symbols, the last of 3
+    (1024, 11, 4),
+    (fp.BLOCK_LEN + 2, 3, 2),  # symbols longer than a block
+    (2, fp.BLOCK_LEN // 2 + 3, 13),  # more symbols than a block holds samples
 ])
 def test_grouped_sum_matches_state_machine(signal_len, avg_count, shift_bits):
-    # select_and_average shifts and sums at most BLOCK_LEN samples at a time.
+    # select_and_average shifts a whole window in place and sums its symbols.
     rng = np.random.default_rng(signal_len)
     cfg = AveragerConfig(signal_len=signal_len, discard_len=6, avg_count=avg_count,
                          shift_bits=shift_bits)
     stream = _random_stream(rng, cfg.window_len)
     rails = rng.random(len(stream)) < 0.5  # sums near the int16 rails
     stream["i"][rails], stream["q"][rails] = fp.INT_MIN, fp.INT_MAX
-    assert (select_and_average(stream, cfg).data.tobytes()
-            == run_state_machine(stream, cfg).data.tobytes())
+    expected = run_state_machine(stream, cfg).data.tobytes()
+    assert select_and_average(stream, cfg).data.tobytes() == expected
 
 
 def test_state_machine_phase_walk():
@@ -239,7 +239,7 @@ def test_samples_outside_averaging_windows_never_reach_output():
     cfg = _small_sounder_config()
     rng = np.random.default_rng(5)
     stream = _random_stream(rng, 2 * cfg.frame_len)
-    reference = [s.data.copy() for s in _average_frames(stream, cfg, 2)]
+    reference = [s.data for s in _average_frames(stream.copy(), cfg, 2)]
     window = cfg.discard_len + cfg.avg_count * cfg.signal_len
     corrupted = stream.copy()
     for k in (0, 1):

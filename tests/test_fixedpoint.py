@@ -126,7 +126,7 @@ def _shift(samples, bits):
     """The averager's pre-sum shift alone: one symbol, no discard."""
     cfg = AveragerConfig(signal_len=len(samples), discard_len=0, avg_count=1,
                          shift_bits=bits)
-    return select_and_average(samples, cfg).data
+    return select_and_average(samples.copy(), cfg).data  # which consumes its window
 
 
 def test_shift_right_examples():
