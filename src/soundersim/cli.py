@@ -4,9 +4,10 @@ Subcommands mirror a measurement workflow: ``generate`` the transmit
 frame, ``simulate`` a capture through a channel model, ``calibrate``
 from a back-to-back capture, ``estimate`` responses/CIRs/PDPs from a
 capture, ``validate`` a configuration against a channel, and ``report``
-capture metadata.  ``estimate`` spells a large table in up to one
-process per usable core, with the same bytes and no setting; each forked
-child adds about 4.7-5.2 MiB of private memory at the default config.
+capture metadata.  ``estimate`` estimates, spells and writes a table one
+block of snapshots at a time, in up to one process per usable core, with
+the same bytes and no setting; each forked child adds about 5.0-6.0 MiB
+of private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -64,20 +65,22 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _emit(columns: dict, out_path: str, fmt: str) -> None:
-    """Write equal-length columns as CSV with a header row, or JSON-lines.
+def _emit(columns: dict, block, count: int, out_path: str, fmt: str) -> None:
+    """Write ``count`` blocks of rows as CSV with a header row, or JSON-lines.
 
-    A column is an array, or a pair ``(values, index)`` that stands for
-    ``values[index]``.  Each block of an array column is spelled at once,
-    and a pair's ``values`` once for the whole table, with the tokens that
-    ``csv.writer`` and ``json.dumps`` write: ``repr`` of each finite value
-    (:func:`floattext.spell` for floats), and ``nan``, ``inf``, ``-inf``
-    in CSV or ``NaN``, ``Infinity``, ``-Infinity`` in JSON-lines.  A
-    block's rows are one NUL-padded byte matrix, written without its NULs.
-    Columns of different lengths (a pair's is ``len(index)``) raise
-    ``ValueError``.  Contiguous shares of the blocks are spelled here and
-    in forked children, whose temporary files are copied on in order; a
-    failed child's message is raised here.
+    ``columns`` maps each name to a pair's values, spelled once for the
+    table, or to None.  ``block(i)`` makes block ``i``'s columns in that
+    order: a pair's index into its values, or the other columns' values.
+    Values are spelled with the tokens that ``csv.writer`` and
+    ``json.dumps`` write: ``repr`` of each finite value
+    (:func:`floattext.spell` for floats), and ``nan``, ``inf``, ``-inf`` in
+    CSV or ``NaN``, ``Infinity``, ``-Infinity`` in JSON-lines.  A block's
+    rows are one NUL-padded byte matrix, written without its NULs.  Block 0
+    is made before the output is opened, even for no blocks, and no block
+    is longer; columns of different lengths raise ``ValueError``.
+    Contiguous shares of the blocks are made and written here and in forked
+    children, whose temporary files are copied on in order; a failed
+    child's message is raised here.
     """
     names = list(columns)
     if fmt == "csv":
@@ -97,33 +100,40 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
             return floattext.spell(v, *special)
         return v.astype(f"S{size}").view(np.uint8).reshape(len(v), size)
 
+    def rows(cols):
+        lengths = {len(c) for c in cols}
+        if len(lengths) != 1:
+            raise ValueError(f"columns must have one length, not {sorted(lengths)}")
+        return lengths.pop()
+
     def write(share, dest):
         # One row layout per table: the separators are laid out once.
-        text = np.zeros((BLOCK_LEN, ends[-1]), np.uint8)
+        text = np.zeros((len(first[0]), ends[-1]), np.uint8)
         for sep, end in zip(seps, ends):
             text[:, end - len(sep):end] = np.frombuffer(sep.encode(), np.uint8)
-        for start in share:
-            for (t, c), size, at in zip(cols, sizes, ends):
-                block = c[start:start + BLOCK_LEN]
-                rows = len(block)
-                text[:rows, at:at + size] = spell(block, size) if t is None else t[block]
-            dest.write(text[:rows][text[:rows] != 0])
+        flat = text.reshape(-1)
+        for i in share:
+            cols = block(i) if i else first
+            n = rows(cols)
+            for c, t, size, at in zip(cols, texts, sizes, ends):
+                text[:n, at:at + size] = spell(c, size) if t is None else np.take(t, c, axis=0)
+            written = flat[:n * ends[-1]]
+            dest.write(written[written != 0])
         dest.flush()
 
-    cols = [(spell(c[0], width(c[0])), c[1]) if isinstance(c, tuple) else (None, c)
-            for c in columns.values()]
-    sizes = [width(c) if t is None else t.shape[1] for t, c in cols]
+    first = block(0)
+    rows(first)
+    texts = [None if v is None else spell(v, width(v)) for v in columns.values()]
+    # The later blocks are not made yet: a block column is as wide as its dtype.
+    sizes = [t.shape[1] if t is not None else width(c if c.dtype.kind == "f" else np.array(
+        [np.iinfo(c.dtype).min, np.iinfo(c.dtype).max])) for t, c in zip(texts, first)]
     # Where each field starts, then where the row ends.
     ends = np.cumsum([len(sep) + size for sep, size in zip(seps, [0] + sizes)])
-    lengths = {len(c) for _, c in cols}
-    if len(lengths) != 1:
-        raise ValueError(f"columns must have one length, not {sorted(lengths)}")
     with open(out_path, "wb") as fh, contextlib.ExitStack() as spools:
         fh.write(header.encode())
-        starts = range(0, lengths.pop(), BLOCK_LEN)
         # Forked, not threaded: the formatter's numpy calls on BLOCK_LEN values hold the GIL.
-        workers = min(campaign._usable_cores(), len(starts)) if hasattr(os, "fork") else 1
-        shares, parent, children = np.array_split(starts, max(workers, 1)), os.getpid(), []
+        workers = min(campaign._usable_cores(), count) if hasattr(os, "fork") else 1
+        shares, parent, children = np.array_split(range(count), max(workers, 1)), os.getpid(), []
         try:
             for share in shares[1:]:
                 spool = spools.enter_context(tempfile.TemporaryFile())
@@ -150,14 +160,18 @@ def _emit(columns: dict, out_path: str, fmt: str) -> None:
             shutil.copyfileobj(spool, fh)
 
 
-def _response_block(capture: Capture, calibration_path: str | None = None):
-    """The capture's responses as one ``(N, signal_len)`` block, one per row."""
+def _responder(capture: Capture, calibration_path: str | None = None):
+    """A function from a slice of the capture's snapshots to their
+    responses, one per row, calibrated if a profile is given."""
     cfg = capture.config
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-    block = estimate_response(Snapshot(capture.snapshots, 0, cfg.averager_config()), wf)
-    if calibration_path:
-        block = apply_calibration(block, load_calibration(calibration_path))
-    return block
+    profile = load_calibration(calibration_path) if calibration_path else None
+
+    def respond(rows):
+        snapshot = Snapshot(capture.snapshots[rows], 0, cfg.averager_config())
+        block = estimate_response(snapshot, wf)
+        return apply_calibration(block, profile) if profile else block
+    return respond
 
 
 def _load_config(path):
@@ -209,7 +223,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    block = _response_block(read_capture(args.capture))
+    block = _responder(read_capture(args.capture))(slice(None))
     profile = build_calibration(block, threshold=args.threshold)
     save_calibration(args.out, profile)
     print(json.dumps({
@@ -223,30 +237,42 @@ def _cmd_calibrate(args) -> int:
 def _cmd_estimate(args) -> int:
     capture = read_capture(args.capture)
     cfg = capture.config
-    block = _response_block(capture, args.calibration)
-    shape = block.bins.shape
-    # Axis and index columns are pairs (values, index): each value is spelled once.
-    snaps, bins = np.arange(shape[0]), np.arange(shape[1])
-    if args.kind == "response":
-        snapshot, k = np.nonzero(np.broadcast_to(block.occupied_mask, shape))
-        freqs = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
-        values = block.bins[snapshot, k]
-        columns = {"snapshot": (snaps, snapshot), "bin": (bins, k),
-                   "freq_offset_hz": (freqs, k), "real": values.real, "imag": values.imag}
-    else:
-        cir = to_cir(block)
-        snapshot, n = np.indices(shape).reshape(2, -1)
-        axes = {"snapshot": (snaps, snapshot), "delay_s": (bins * cfg.sample_period_s, n)}
+    respond = _responder(capture, args.calibration)
+    per = max(1, BLOCK_LEN // cfg.signal_len)  # snapshots per block
+    # Block 0 first: an unusable waveform or profile exits before any output.
+    first = respond(slice(0, per))
+    count = len(capture.snapshots)
+    # A snapshot's rows: one per occupied bin (response) or per delay (pdp, cir).
+    index = (np.flatnonzero(first.occupied_mask) if args.kind == "response"
+             else np.arange(cfg.signal_len))
+
+    def block(i):
+        response = respond(slice(i * per, (i + 1) * per)) if i else first
+        snaps = np.arange(i * per, i * per + len(response.bins))
+        snapshot, k = np.repeat(snaps, len(index)), np.tile(index, len(snaps))
+        if args.kind == "response":
+            values = response.bins[:, index].ravel()
+            return [snapshot, k, k, values.real, values.imag]
+        cir = to_cir(response)
         if args.kind == "cir":
-            columns = {**axes, "real": cir.real.ravel(), "imag": cir.imag.ravel()}
-        else:  # pdp
-            # Exported power is relative to each snapshot's strongest tap;
-            # absolute reference levels are not calibrated.
-            power_db = power_delay_profile(cir)
-            power_db -= power_db.max(axis=-1, keepdims=True)
-            columns = {**axes, "power_rel_peak_db": power_db.ravel()}
-    _emit(columns, args.out, args.format)
-    summary = {"rows": len(snapshot), "out": args.out, "kind": args.kind}
+            return [snapshot, k, cir.real.ravel(), cir.imag.ravel()]
+        # Exported power is relative to each snapshot's strongest tap;
+        # absolute reference levels are not calibrated.
+        power_db = power_delay_profile(cir)
+        power_db -= power_db.max(axis=-1, keepdims=True)
+        return [snapshot, k, power_db.ravel()]
+
+    # Axis and index columns are pairs: each value is spelled once.
+    axis = np.arange(cfg.signal_len)
+    columns = {"snapshot": np.arange(count)}
+    if args.kind == "response":
+        columns["bin"] = axis
+        columns["freq_offset_hz"] = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
+    else:
+        columns["delay_s"] = axis * cfg.sample_period_s
+    columns.update(dict.fromkeys(["power_rel_peak_db"] if args.kind == "pdp" else ["real", "imag"]))
+    _emit(columns, block, -(-count // per), args.out, args.format)
+    summary = {"rows": count * len(index), "out": args.out, "kind": args.kind}
     if args.kind == "pdp":
         summary["normalization"] = "peak-relative"
     print(json.dumps(summary))

@@ -74,7 +74,8 @@ def rescale_snapshot(snapshot: Snapshot) -> np.ndarray:
     """
     cfg = snapshot.config
     factor = float(2**cfg.shift_bits) / cfg.avg_count
-    return fixedpoint.to_float(snapshot.data) * factor
+    values = fixedpoint.to_float(snapshot.data)
+    return np.multiply(values, factor, out=values)
 
 
 def estimate_response(
@@ -108,8 +109,8 @@ def estimate_response(
             f"{DEGENERATE_BIN_TOL:.0e}; cannot invert waveform"
         )
     bins = np.fft.fft(rescale_snapshot(snapshot))
-    bins[..., mask] /= occupied
-    bins[..., ~mask] = 0.0
+    np.divide(bins, wf.freq_bins, out=bins, where=mask)
+    np.copyto(bins, 0.0, where=~mask)
     return FrequencyResponse(bins=bins, occupied_mask=mask.copy())
 
 
@@ -124,8 +125,8 @@ def power_delay_profile(cir: np.ndarray) -> np.ndarray:
     power_db = np.full(mag.shape, PDP_FLOOR_DB)
     nonzero = mag > 0
     np.log10(mag, out=power_db, where=nonzero)
-    power_db[nonzero] = np.maximum(20.0 * power_db[nonzero], PDP_FLOOR_DB)
-    return power_db
+    np.multiply(power_db, 20.0, out=power_db, where=nonzero)
+    return np.maximum(power_db, PDP_FLOOR_DB, out=power_db)
 
 
 def band_limit_kernel(occupied_mask: np.ndarray) -> np.ndarray:
@@ -254,7 +255,7 @@ def apply_calibration(
     ref = profile.reference.bins
     good = mask & ~(np.abs(ref) < profile.threshold)
     bins = np.zeros_like(response.bins)
-    bins[..., good] = response.bins[..., good] / ref[good]
+    np.divide(response.bins, ref, out=bins, where=good)
     return FrequencyResponse(bins=bins, occupied_mask=good)
 
 

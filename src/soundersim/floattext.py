@@ -90,9 +90,9 @@ def _decimal(bits):
     upin, wpin = vbl + out <= sp10 << 2, (sp10 + 10 << 2) + out <= vbr
     uin, win = vbl + out <= s << 2, (s + 1 << 2) + out <= vbr
     mid = (s << 2) + 2
-    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & 1) == 0)))
-    f = np.where((upin != wpin) & (s >= 10), np.where(upin, sp10, sp10 + 10),
-                 np.where(pick_s, s, s + 1))
+    pick_s = uin & ~win | (uin == win) & ((vb < mid) | (vb == mid) & ((s & 1) == 0))
+    f = s + ~pick_s  # unless exactly one of sp10 and sp10 + 10 is in: that one, shorter
+    f ^= (f ^ (sp10 + np.uint64(10) * wpin)) * ((upin != wpin) & (s >= 10))
     return f, k
 
 
@@ -125,27 +125,27 @@ def _spell_words(x):
     bits = x.view(np.uint64)
     zero = bits << 1 == 0
     f, k = _decimal(bits)
-    f[zero] = 0
+    f *= ~zero
     # f has lead_exp + 1 digits; the estimate from its bit length is at most one high.
     lead_exp = np.frexp(f.astype(np.float64))[1] * 1233 >> 12
     lead_exp -= f < _POW10[lead_exp]
     f *= _POW10[16 - lead_exp]  # 17 digits, "0.0" for zero
-    decpt = np.where(zero, 1, k + 1 + lead_exp)
+    decpt = (k + 1 + lead_exp) * ~zero + zero  # zero's point follows its first digit
     lead = f // _POW10[16]
     rest = f - lead * _POW10[16]
     high = rest // _POW10[8]
     eight = _ascii8(np.stack([high, rest - high * _POW10[8]]))  # digits 2-9, 10-17
     # Significant digits: up to the last nonzero byte of the digits xor "0".
     nonzero = np.frexp((eight ^ _ZEROS).astype(np.float64))[1] + 7 >> 3
-    sig = np.where(nonzero[1] > 0, 9 + nonzero[1], 1 + nonzero[0])
+    sig = 1 + nonzero[0] + (nonzero[1] > 0) * (8 + nonzero[1] - nonzero[0])
     text = np.stack([lead + 48 | eight[0] << 8, eight[0] >> 56 | eight[1] << 8, eight[1] >> 56])
     positional = (decpt > -4) & (decpt <= 16)
     whole = positional & (decpt > 0)
-    shown = np.where(whole, np.maximum(sig, decpt + 1), sig)
+    shown = sig + whole * np.maximum(decpt + 1 - sig, 0)
     dot = whole | ~positional & (sig > 1)
-    point = np.where(dot, np.where(whole, decpt, 1), 24)  # digits before the point
-    prefix = (bits >> 63).astype(np.intp) + 2 * np.where(positional & ~whole, 1 - decpt, 0)
-    suffix = _SUFFIXES[np.where(positional, len(_SUFFIXES) - 1, decpt + 323)]
+    point = 24 - 23 * dot + whole * (decpt - 1)  # digits before the point
+    prefix = (bits >> 63).astype(np.intp) + 2 * (positional & ~whole) * (1 - decpt)
+    suffix = _SUFFIXES[decpt + 323 + positional * (len(_SUFFIXES) - 324 - decpt)]
     text &= np.take(_LOW, shown, axis=1)
     head = text & np.take(_LOW, point, axis=1)
     tail = text ^ head

@@ -161,16 +161,28 @@ def test_estimate_cir_json_lines(tmp_path, capsys):
 
 
 def test_the_capture_block_reaches_the_estimator_uncopied(tmp_path, monkeypatch):
-    _, config_path, channel_path = _write_inputs(tmp_path, noise_std=0.02, snapshots=3)
+    # Blocks of 128 rows hold two 64-sample snapshots: estimate takes the
+    # five snapshots as three blocks, calibrate as one.
+    _, config_path, channel_path = _write_inputs(tmp_path, noise_std=0.02, snapshots=5)
     capture_path = tmp_path / "run.capture"
     assert main(["simulate", "--config", config_path, "--channel", channel_path,
                  "--out", str(capture_path)]) == 0
     capture = cli.read_capture(capture_path)
-    given, estimate = [], cli.estimate_response
-    monkeypatch.setattr(cli, "estimate_response",
-                        lambda snap, wf: given.append(snap) or estimate(snap, wf))
-    assert cli._response_block(capture).bins.shape == (3, 64)
-    assert len(given) == 1 and given[0].data is capture.snapshots
+    estimate = cli.estimate_response
+    monkeypatch.setattr(cli, "read_capture", lambda path: capture)
+    monkeypatch.setattr(cli, "BLOCK_LEN", 128)
+    monkeypatch.setattr(cli.campaign, "_usable_cores", lambda: 1)  # every block made here
+    for command, blocks in (("calibrate", 1), ("estimate", 3)):
+        given = []
+        monkeypatch.setattr(cli, "estimate_response",
+                            lambda snap, wf: given.append(snap) or estimate(snap, wf))
+        assert main([command, str(capture_path), "--out", str(tmp_path / "out")]) == 0
+        rows, stride = [], capture.snapshots.strides[0]
+        for snap in given:
+            assert np.shares_memory(snap.data, capture.snapshots)
+            first = (snap.data.ctypes.data - capture.snapshots.ctypes.data) // stride
+            rows.extend(range(first, first + len(snap.data)))
+        assert sorted(rows) == list(range(5)) and len(given) == blocks, command
 
 
 def test_calibrated_response_workflow(tmp_path, capsys, monkeypatch):

@@ -125,24 +125,28 @@ def test_export_bytes_are_pinned(exported, name):
     assert _sha256(out / name) == OUTPUT_SHA256[name]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_export_bytes_do_not_depend_on_the_worker_count(exported, tmp_path, monkeypatch,
                                                         workers):
-    # Blocks of 16 rows make 10 (response) or 12 (pdp, cir) blocks per table;
-    # three workers fork two children whatever the host's core count.
+    # A block holds BLOCK_LEN // 64 of the three 64-sample snapshots, at
+    # least one: blocks of 16 and 64 rows make three blocks (16 is less than
+    # a snapshot), and blocks of 8192 one.  Two and three workers fork one
+    # and two children over three blocks, whatever the host's core count.
     out, _ = exported
     forks, fork = [], os.fork
-    monkeypatch.setattr(cli, "BLOCK_LEN", 16)
     monkeypatch.setattr(campaign, "_usable_cores", lambda: workers)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    for name, kind, fmt, calibrated in EXPORTS:
-        args = ["estimate", str(out / "run.capture"), "--kind", kind,
-                "--format", fmt, "--out", str(tmp_path / name)]
-        if calibrated:
-            args += ["--calibration", str(out / "calibration.json")]
-        assert main(args) == 0
-        assert _sha256(tmp_path / name) == OUTPUT_SHA256[name], name
-    assert len(forks) == (workers - 1) * len(EXPORTS)
+    for block_len, blocks in ((16, 3), (64, 3), (8192, 1)):
+        monkeypatch.setattr(cli, "BLOCK_LEN", block_len)
+        forks.clear()
+        for name, kind, fmt, calibrated in EXPORTS:
+            args = ["estimate", str(out / "run.capture"), "--kind", kind,
+                    "--format", fmt, "--out", str(tmp_path / name)]
+            if calibrated:
+                args += ["--calibration", str(out / "calibration.json")]
+            assert main(args) == 0
+            assert _sha256(tmp_path / name) == OUTPUT_SHA256[name], (name, block_len)
+        assert len(forks) == (min(workers, blocks) - 1) * len(EXPORTS), block_len
 
 
 def test_empty_capture_exports_headers_only(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The block-wise table writer against the per-row writer it replaced.
 
-``cli._emit`` spells each column in blocks of ``BLOCK_LEN`` rows,
-and the values of a ``(values, index)`` pair once per table, in up to
-one process per usable core.  The oracle below is the earlier writer,
+``cli._emit`` makes and spells a table one block of rows at a time, and
+the values of a ``(values, index)`` pair once per table, in up to one
+process per usable core; here a block is ``BLOCK_LEN`` rows of whole
+columns.  The oracle below is the earlier writer,
 one ``csv.writer`` or ``json.dumps`` call per row, given
 ``values[index]`` for a pair; both must write the same bytes for any
 int64 and float64 columns, including NaN, infinities, -0.0, subnormals
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from hypothesis.extra.numpy import arrays
 from soundersim import campaign, cli, floattext
 from soundersim.channel import ChannelModel
 from soundersim.config import SounderConfig
-from soundersim.waveform import ZcParams
+from soundersim.fixedpoint import quantize, quantize_clipped, to_float
+from soundersim.waveform import ZcParams, build_sounding_symbol
 
 BLOCK = 4
 
@@ -53,6 +56,16 @@ def _emit_per_row(columns, out_path, fmt):
         else:  # json-lines
             for row in rows:
                 fh.write(json.dumps(dict(zip(names, row))) + "\n")
+
+
+def _emit_columns(columns, out_path, fmt):
+    """``cli._emit`` of whole columns in blocks of ``cli.BLOCK_LEN`` rows; a
+    column is an array or a pair ``(values, index)``."""
+    rows = [c[1] if isinstance(c, tuple) else c for c in columns.values()]
+    size = cli.BLOCK_LEN
+    cli._emit({name: c[0] if isinstance(c, tuple) else None for name, c in columns.items()},
+              lambda i: [c[i * size:(i + 1) * size] for c in rows],
+              -(-max(map(len, rows)) // size), out_path, fmt)
 
 
 @st.composite
@@ -102,7 +115,7 @@ def test_block_writer_matches_per_row_writer(columns, fmt, workers):
         mp.setattr(campaign, "_usable_cores", lambda: workers)
         expected, actual = Path(tmp, "expected"), Path(tmp, "actual")
         _emit_per_row(gathered, expected, fmt)
-        cli._emit(columns, actual, fmt)
+        _emit_columns(columns, actual, fmt)
         assert actual.read_bytes() == expected.read_bytes()
 
 
@@ -114,7 +127,7 @@ def test_block_writer_matches_per_row_writer(columns, fmt, workers):
 ], ids=["arrays", "pair-longer", "pair-empty"])
 def test_columns_of_different_lengths_raise(tmp_path, columns, fmt):
     with pytest.raises(ValueError, match="one length"):
-        cli._emit(columns, tmp_path / "out", fmt)
+        _emit_columns(columns, tmp_path / "out", fmt)
     assert not (tmp_path / "out").exists()
 
 
@@ -218,7 +231,56 @@ def test_serial_cases_fork_nothing(monkeypatch, forked, tmp_path, case):
         monkeypatch.setattr(cli, "BLOCK_LEN", 40)
     else:
         monkeypatch.delattr(os, "fork")
-    cli._emit(columns, tmp_path / "actual", "csv")
+    _emit_columns(columns, tmp_path / "actual", "csv")
     _emit_per_row(columns, tmp_path / "expected", "csv")
     assert (tmp_path / "actual").read_bytes() == (tmp_path / "expected").read_bytes()
     assert forked == []
+
+
+@pytest.fixture(scope="module")
+def default_captures(tmp_path_factory):
+    """Noisy captures of 256 and 1024 snapshots at the default config."""
+    paths = {}
+    for count in (256, 1024):
+        cfg = SounderConfig(num_snapshots=count)
+        wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+        symbol = to_float(quantize(wf.time_signal))
+        rng = np.random.default_rng(count)
+        noise = 0.01 * (rng.standard_normal((count, cfg.signal_len))
+                        + 1j * rng.standard_normal((count, cfg.signal_len)))
+        data, clipped = quantize_clipped((symbol + 0.3 * np.roll(symbol, 7) + noise)
+                                         * (cfg.avg_count / 2**cfg.shift_bits))
+        paths[count] = tmp_path_factory.mktemp("default") / "run.capture"
+        campaign.write_capture(paths[count], campaign.Capture(
+            config=cfg, channel_digest="0" * 64, prng="pcg64", seed=count, created=CREATED,
+            clipped_components=clipped, snapshots=data))
+    return paths
+
+
+#: Traced peak of a one-worker estimate of 256 default snapshots, in MiB,
+#: measured with numpy 2.4.
+PEAK_256_MIB = {"pdp": 4.67, "cir": 5.00, "response": 4.31}
+
+
+@pytest.mark.parametrize("kind", sorted(PEAK_256_MIB))
+def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
+                                                        default_captures, kind):
+    # Each block of 8 snapshots is estimated, spelled and written before the
+    # next is made, so from 256 to 1024 snapshots the traced peak grows by
+    # at most 1.25 x the capture read twice (file bytes and payload), 8 KiB
+    # per snapshot.
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
+    args = ["--kind", kind, "--out", os.devnull]
+    assert cli.main(["estimate", str(default_captures[256]), *args]) == 0  # fills the caches
+    peaks = []
+    for count in (256, 1024):
+        tracemalloc.start()
+        try:
+            assert cli.main(["estimate", str(default_captures[count]), *args]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["rows"] == (
+        1024 * (SounderConfig().zc.length if kind == "response" else 1024))
+    assert peaks[1] - peaks[0] <= 1.25 * 768 * 8 * 1024
+    assert peaks[0] <= 1.25 * PEAK_256_MIB[kind] * 2**20

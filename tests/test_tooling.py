@@ -69,6 +69,16 @@ def test_campaign_has_no_second_quantizer_or_averager():
     assert calls == []
 
 
+def test_floattext_calls_no_where():
+    # The formatter selects between candidates with masked arithmetic: on a
+    # block of 8192 values np.where costs several times an add or a xor.
+    source = (ROOT / "src" / "soundersim" / "floattext.py").read_text()
+    calls = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) == "np" and node.func.attr == "where"]
+    assert calls == []
+
+
 def test_campaign_binds_no_snapshot():
     # A capture holds one (N, signal_len) block: campaign never wraps a row
     # in a Snapshot, so it has no use for the name.
