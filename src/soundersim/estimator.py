@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,18 +224,25 @@ class CalibrationProfile:
 
 
 def build_calibration(
-    response: FrequencyResponse, threshold: float = CalibrationProfile.threshold
+    responses: FrequencyResponse | Iterable[FrequencyResponse],
+    threshold: float = CalibrationProfile.threshold,
 ) -> CalibrationProfile:
     """Average back-to-back responses into a calibration profile.
 
-    ``response`` is one response or an ``(N, fft_size)`` block; the
-    complex mean of its rows becomes the reference.
+    ``responses`` is one response, an ``(N, fft_size)`` block, or blocks
+    of them one after another; the complex mean of all their rows becomes
+    the reference.  The rows are added in order into one accumulator, as
+    ``mean(axis=0)`` adds them, so blocks give the bits of one block.
     """
-    bins = response.bins.reshape(-1, response.fft_size)
-    if not len(bins):
+    total, count = None, 0
+    for block in [responses] if isinstance(responses, FrequencyResponse) else responses:
+        for row in block.bins.reshape(-1, block.fft_size):
+            total = row.copy() if total is None else np.add(total, row, out=total)
+            count += 1
+        mask = block.occupied_mask
+    if not count:
         raise ConfigurationError("need at least one response to calibrate")
-    reference = FrequencyResponse(bins=bins.mean(axis=0),
-                                  occupied_mask=response.occupied_mask.copy())
+    reference = FrequencyResponse(bins=total / count, occupied_mask=mask.copy())
     return CalibrationProfile(reference=reference, threshold=threshold)
 
 

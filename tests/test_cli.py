@@ -161,8 +161,8 @@ def test_estimate_cir_json_lines(tmp_path, capsys):
 
 
 def test_the_capture_block_reaches_the_estimator_uncopied(tmp_path, monkeypatch):
-    # Blocks of 128 rows hold two 64-sample snapshots: estimate takes the
-    # five snapshots as three blocks, calibrate as one.
+    # Blocks of 128 rows hold two 64-sample snapshots: calibrate and
+    # estimate each take the five snapshots as three blocks.
     _, config_path, channel_path = _write_inputs(tmp_path, noise_std=0.02, snapshots=5)
     capture_path = tmp_path / "run.capture"
     assert main(["simulate", "--config", config_path, "--channel", channel_path,
@@ -172,7 +172,7 @@ def test_the_capture_block_reaches_the_estimator_uncopied(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "read_capture", lambda path: capture)
     monkeypatch.setattr(cli, "BLOCK_LEN", 128)
     monkeypatch.setattr(cli.campaign, "_usable_cores", lambda: 1)  # every block made here
-    for command, blocks in (("calibrate", 1), ("estimate", 3)):
+    for command, blocks in (("calibrate", 3), ("estimate", 3)):
         given = []
         monkeypatch.setattr(cli, "estimate_response",
                             lambda snap, wf: given.append(snap) or estimate(snap, wf))

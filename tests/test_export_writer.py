@@ -131,6 +131,23 @@ def test_columns_of_different_lengths_raise(tmp_path, columns, fmt):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_refilled_index_array_is_gathered_again(tmp_path, monkeypatch):
+    # A pair's field is kept from one block to the next when its index is
+    # unchanged; block() may hand back one index array refilled, so the
+    # writer compares with the index it gathered, not with the array.
+    monkeypatch.setattr(cli, "BLOCK_LEN", BLOCK)
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
+    values, index = np.array([0.5, -2.0, 1e-7]), np.empty(BLOCK, np.int64)
+
+    def block(i):
+        index[:] = (np.arange(BLOCK) + i) % len(values)
+        return [index]
+    cli._emit({"x": values}, block, 3, tmp_path / "actual", "csv")
+    rows = np.concatenate([(np.arange(BLOCK) + i) % len(values) for i in range(3)])
+    _emit_per_row({"x": values[rows]}, tmp_path / "expected", "csv")
+    assert (tmp_path / "actual").read_bytes() == (tmp_path / "expected").read_bytes()
+
+
 CREATED = "2026-03-01T12:00:00+00:00"
 
 
@@ -177,11 +194,11 @@ def _failing_spell(exc, where, pids):
     process once it has forked (so after the axis columns are spelled)."""
     parent, spell = os.getpid(), floattext.spell
 
-    def failing_spell(values, *special):
+    def failing_spell(values, *special, out=None):
         in_parent = os.getpid() == parent
         if (in_parent and pids) if where == "parent" else not in_parent:
             raise exc
-        return spell(values, *special)
+        return spell(values, *special, out=out)
     return failing_spell
 
 
@@ -284,3 +301,20 @@ def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
         1024 * (SounderConfig().zc.length if kind == "response" else 1024))
     assert peaks[1] - peaks[0] <= 1.25 * 768 * 8 * 1024
     assert peaks[0] <= 1.25 * PEAK_256_MIB[kind] * 2**20
+
+
+def test_calibrate_memory_grows_only_by_the_capture_read(default_captures, tmp_path):
+    # calibrate adds one block of 8 snapshots at a time into its average, so
+    # from 256 to 1024 snapshots the traced peak grows by at most 1.25 x the
+    # capture read twice (file bytes and payload), 8 KiB per snapshot.
+    out = str(tmp_path / "calibration.json")
+    assert cli.main(["calibrate", str(default_captures[256]), "--out", out]) == 0  # fills caches
+    peaks = []
+    for count in (256, 1024):
+        tracemalloc.start()
+        try:
+            assert cli.main(["calibrate", str(default_captures[count]), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.25 * 768 * 8 * 1024

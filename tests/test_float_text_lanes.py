@@ -1,0 +1,61 @@
+"""The float formatter's rare lanes and its writes into a wider row matrix.
+
+``floattext._decimal`` takes Dragonbox's main path on every value and
+recomputes a few lanes exactly: the scaled upper end of an interval that
+excludes it, a remainder equal to the interval's width (is the lower end
+below the candidate?), a distance divisible by 100 (is the estimate one
+high, or the value exactly halfway?), the shorter interval below a power
+of two, and subnormals and zero, whose digits are padded.  Random bit
+patterns reach these lanes only by chance; each has named inputs here,
+checked against ``repr``.
+"""
+
+import numpy as np
+import pytest
+
+from soundersim import floattext
+
+#: Deterministic inputs for each rare lane of the digit search.
+RARE_LANES = {
+    "upper end excluded": [3.8537782149011656e16, 6.3091004258123976e16],
+    "lower end inside by parity": [1.579931034208909e164, 2.424588099502069e-144],
+    "lower end on a closed interval": [3.250296022406579e16, 5.37926970493815e16],
+    "lower end outside": [2.8131768692576492e16, 9.054486081381251e-278],
+    "distance estimate one high": [1.2945121553754902e-294, 1.3295954672315255e84],
+    "exact tie to even": [1483039052054336.2, 1533661600446129.2],
+    "shorter interval": np.ldexp(1.0, np.arange(-1021, 1024)).tolist(),
+    "smallest normal and neighbours": [2.2250738585072014e-308, 2.225073858507202e-308,
+                                       2.225073858507201e-308],
+    "smallest subnormal": [5e-324],
+    "zero": [0.0],
+}
+
+
+@pytest.mark.parametrize("lane", sorted(RARE_LANES))
+def test_rare_lanes_match_repr(lane):
+    values = np.array(RARE_LANES[lane])
+    values = np.concatenate([values, -values])
+    rows = floattext.spell(values)
+    assert [row.tobytes().rstrip(b"\0").decode() for row in rows] == [
+        repr(v) for v in values.tolist()]
+
+
+#: Values the export meets, non-finite ones and subnormals among them.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+               1e16, -1.2345678901234567e-5, 123.456, 1e-4]
+
+
+@pytest.mark.parametrize("special", [(), ("NaN", "Infinity")], ids=["csv", "json-lines"])
+@pytest.mark.parametrize("length", [0, 1, floattext.BLOCK_LEN - 1, floattext.BLOCK_LEN,
+                                    floattext.BLOCK_LEN + 1])
+def test_spelling_into_a_field_matches_the_standalone_rows(length, special):
+    # The field starts at byte 5 of a 35-byte row, so its words are unaligned;
+    # the bytes around it keep their fill.
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-320, 300, length)
+    values[:len(EDGE_VALUES)] = EDGE_VALUES[:length]
+    matrix = np.full((length, 35), 0xA5, np.uint8)
+    field = matrix[:, 5:5 + floattext.WIDTH]
+    assert floattext.spell(values, *special, out=field) is field
+    assert field.tobytes() == floattext.spell(values, *special).tobytes()
+    assert (matrix[:, :5] == 0xA5).all() and (matrix[:, 5 + floattext.WIDTH:] == 0xA5).all()
