@@ -20,7 +20,8 @@ train the noiseless tap sum repeats every ``signal_len`` samples.
 :func:`tap_sum` convolves one such period and the two edges around it
 (echoes of the zero fill before the train; the train's end and the
 convolution tail after it), bit-identical to convolving the whole
-segment; neither the segment nor the frame is built.
+segment; neither the segment nor the frame is built, and an empty edge
+is neither gathered nor convolved.
 
 Only the noise and interferer phases differ between snapshots, so the
 tap sum is computed once per campaign, for static and noisy channels
@@ -37,10 +38,10 @@ float64 scratch for the tones and noise, about 1.8 MiB at the default
 config), quantizing and averaging in place, and a capture's payload is the
 same across runs, hosts, core counts and trigger flanks.  A static
 channel (no noise, no interferer) gives every snapshot the same
-samples, so its pieces are quantized once and laid out like a noisy
-worker's buffer, its window is averaged once, and the saturation count
-is multiplied by the snapshot count.  No step calls the long-stream oracle
-that tests compare campaigns against.
+samples, so its non-empty pieces are quantized once and laid out like
+a noisy worker's buffer, its window is averaged once, and the
+saturation count is multiplied by the snapshot count.  No step calls
+the long-stream oracle that tests compare campaigns against.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -82,7 +83,7 @@ from .config import SounderConfig, check_field_types, config_from_dict, config_t
 from .errors import CaptureFormatError, ConfigurationError, ValidationError
 from .fixedpoint import SAMPLE_DTYPE, quantize_clipped, quantize_in_place
 from .sync import PpsSchedule, receiver_offset
-from .waveform import SoundingWaveform, build_sounding_symbol, occupied_bins, tx_frame_samples
+from .waveform import SoundingWaveform, build_sounding_symbol, tx_frame_samples
 
 MAGIC = b"CSND"
 FORMAT_VERSION = 1
@@ -210,6 +211,8 @@ def tap_sum(wf: SoundingWaveform, cfg: SounderConfig, model: ChannelModel,
 
     def outputs(lo: int, hi: int) -> np.ndarray:
         """Outputs ``lo`` to ``hi - 1``, from the segment samples they read."""
+        if lo >= hi:  # a cable's tail: no samples to gather or convolve
+            return np.empty(0, np.complex128)
         first = max(lo - tail, 0)
         piece = tx_frame_samples(wf, cfg, first - tail - offset, min(hi, seg_len) - first)
         return convolve_taps(piece, model)[lo - first : hi - first]
@@ -267,8 +270,9 @@ def run_campaign(
         # A static channel adds nothing that depends on the snapshot index:
         # every row is snapshot 0, laid out and averaged as a noisy worker's.
         whole, rest = divmod(taps.stop - taps.start, cfg.signal_len)
-        (head, h), (period, p), (end, t), (_, r) = map(
-            quantize_clipped, (taps.head, taps.period, taps.tail, taps.period[:rest]))
+        (head, h), (period, p), (end, t), (_, r) = (
+            quantize_clipped(piece) if len(piece) else (np.empty(0, SAMPLE_DTYPE), 0)
+            for piece in (taps.head, taps.period, taps.tail, taps.period[:rest]))
         words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
                        end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
         first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
@@ -344,7 +348,8 @@ def _header_dict(capture: Capture) -> dict:
         "version": FORMAT_VERSION,
         "config": config_to_dict(cfg),
         **{key: getattr(capture, key) for key in _HEADER_FIELDS},
-        "dc_bin_included": bool(0 in occupied_bins(cfg.zc.length, cfg.signal_len)),
+        # occupied_bins centres the sequence on DC, so any sequence occupies bin 0
+        "dc_bin_included": cfg.zc.length >= 1,
         "snapshot_count": cfg.num_snapshots,
     }
 

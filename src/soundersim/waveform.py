@@ -171,9 +171,10 @@ def tx_frame_samples(
     sample ``n`` is frame sample ``m = n mod frame_len``, which is
     ``symbol[m mod signal_len]`` inside the repetition train and zero
     after it.  Wherever a frame's train overlaps the range, ``wf.samples``,
-    the symbol quantized once when ``wf`` was built, is repeated over that
-    overlap from the right phase; neither the train nor the frame is
-    built.  The configuration guarantees that the train fits in the frame.
+    the symbol quantized once when ``wf`` was built, is rotated to the
+    overlap's phase by two slices and repeated over it; neither the train
+    nor the frame is built.  The configuration guarantees that the train
+    fits in the frame.
     """
     if wf.fft_size != cfg.signal_len:
         raise ConfigurationError(
@@ -189,5 +190,9 @@ def tx_frame_samples(
         lo = max(frame_start, start)
         hi = min(frame_start + train_len, start + count)
         if lo < hi:  # symbol[(n - frame_start) mod signal_len] for n in [lo, hi)
-            out[lo - start : hi - start] = np.resize(np.roll(symbol, frame_start - lo), hi - lo)
+            phase = (lo - frame_start) % len(symbol)
+            rotated = np.concatenate((symbol[phase:], symbol[:phase]))
+            whole, rest = divmod(hi - lo, len(symbol))
+            out[lo - start : hi - start - rest].reshape(whole, len(symbol))[:] = rotated
+            out[hi - start - rest : hi - start] = rotated[:rest]
     return out.view(fixedpoint.SAMPLE_DTYPE)

@@ -217,6 +217,33 @@ def test_static_channel_is_simulated_once(monkeypatch):
     assert empty.clipped_components == 0
 
 
+@pytest.mark.parametrize("model, convolved, quantized", [
+    # A cable at offset 0 has no head, no tail and no partial period: one
+    # piece is gathered, convolved and quantized.
+    (ChannelModel(taps=((0, 1.0),)), 1, 1),
+    # A 3-tap channel's head and period are convolved together and its tail
+    # on its own; the noisy workers quantize in place.
+    (ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02,
+                  interferers=(Interferer(freq=0.0371, amplitude=0.05),), seed=3), 2, 0),
+], ids=["cable", "noisy"])
+def test_a_campaign_convolves_and_quantizes_only_pieces_that_hold_samples(
+        monkeypatch, model, convolved, quantized):
+    calls = {"convolve_taps": 0, "quantize_clipped": 0}
+
+    def counted(name):
+        fn = getattr(campaign, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(campaign, name, counted(name))
+    run_campaign(SounderConfig(num_snapshots=2), model, created=CREATED)
+    assert calls == {"convolve_taps": convolved, "quantize_clipped": quantized}
+
+
 @pytest.mark.parametrize("model, budget_kib", [
     (ChannelModel(taps=((0, 1.0),)), 456),
     (ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02,
@@ -732,3 +759,15 @@ def test_header_is_sorted_json_with_spec_fields(tmp_path):
     assert header["version"] == 1
     assert header["dc_bin_included"] is True
     assert header["snapshot_count"] == 2
+
+
+@pytest.mark.parametrize("zc", [ZcParams(1, 1), ZcParams(2, 1), ZcParams(50, 3)])
+def test_header_includes_the_dc_bin_for_any_sequence(tmp_path, zc):
+    # occupied_bins centres every sequence on DC, so the flag is true for
+    # any valid configuration, not only the default one.
+    path = tmp_path / "c.capture"
+    cfg = _small_config(zc=zc, num_snapshots=1)
+    write_capture(path, run_campaign(cfg, ChannelModel(taps=((0, 1.0),)), created=CREATED))
+    raw = path.read_bytes()
+    header = json.loads(raw[10:10 + struct.unpack_from("<I", raw, 6)[0]])
+    assert header["dc_bin_included"] is True

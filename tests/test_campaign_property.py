@@ -267,6 +267,14 @@ def _edge_case(signal_len, discard_len, avg_count, frame_len, taps, timing_error
     16, 20, 2, 64,    # one starts inside the segment; max_delay is 4 + 15
     ((4, 1.5 + 1.5j), (11, -0.7j), (19, 1.2)), -16))
 @example(_edge_case(16, 16, 3, 80, ((0, -1.5 + 1j), (15, 1.4)), 0))  # max_delay 15
+# A hot cable at offset 0: head, tail and partial period are all empty,
+# so only the period is gathered, convolved and quantized, and it clips.
+@example(_edge_case(16, 16, 3, 80, ((0, 2.5),), 0))
+# The train starts at segment index 0 and the tail holds samples; the head
+# cannot be empty then, as it holds the max_delay outputs of the taps' run-in.
+@example(_edge_case(16, 20, 2, 64, ((0, 2.2), (3, -1.1 + 0.4j)), -3))
+# A cable arriving 5 samples late: a head of 5 outputs, no tail.
+@example(_edge_case(16, 24, 2, 64, ((0, 2.4j),), 5))
 @given(campaigns())
 def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
     # The pieces hold the same convolve_taps arithmetic as one pass over
@@ -285,6 +293,9 @@ def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
     assert taps.start <= tail + acfg.discard_len
     assert tail + acfg.window_len <= taps.stop
     assert len(taps.period) == cfg.signal_len
+    # The first and last max_delay outputs never see every tap, so an edge
+    # can be empty only when max_delay is 0.
+    assert len(taps.head) >= tail and len(taps.tail) >= tail
     # A static campaign quantizes the pieces, not the whole: laid out in a
     # uint32 buffer they are the whole quantized, and the period's clips,
     # counted once per whole period, add up to the whole's.
@@ -295,6 +306,15 @@ def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
     assert np.array_equal(words, samples.view(np.uint32))
     periods, rest = divmod(taps.stop - taps.start, len(taps.period))
     assert h + periods * p + quantize_clipped(taps.period[:rest])[1] + t == clipped
+    # The static branch, which skips the empty pieces, keeps the row and count.
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s, sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    capture = run_campaign(dataclasses.replace(cfg, num_snapshots=1),
+                           dataclasses.replace(model, noise_std=0.0, interferers=()),
+                           schedule, created=CREATED)
+    assert capture.clipped_components == clipped
+    row = select_and_average(samples[tail : tail + acfg.window_len], acfg).data
+    assert np.array_equal(capture.snapshots[0], row)
 
 
 @SETTINGS

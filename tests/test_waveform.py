@@ -70,6 +70,15 @@ def test_occupied_bins_centered_on_dc():
         occupied_bins(9, 8)
 
 
+def test_every_occupied_block_includes_dc():
+    # The capture header's dc_bin_included relies on this rule.
+    for fft_size in range(1, 65):
+        for count in range(1, fft_size + 1):
+            assert 0 in occupied_bins(count, fft_size), (count, fft_size)
+    for count in (812, 813, 1023, 1024):  # even and odd at the default signal_len
+        assert 0 in occupied_bins(count, 1024)
+
+
 def test_symbol_peak_equals_backoff():
     wf = build_sounding_symbol(ZcParams(813, 7), 1024, 0.5)
     peak = max(np.abs(wf.time_signal.real).max(), np.abs(wf.time_signal.imag).max())
