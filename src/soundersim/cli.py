@@ -4,10 +4,13 @@ Subcommands mirror a measurement workflow: ``generate`` the transmit
 frame, ``simulate`` a capture through a channel model, ``calibrate``
 from a back-to-back capture, ``estimate`` responses/CIRs/PDPs from a
 capture, ``validate`` a configuration against a channel, and ``report``
-capture metadata.  ``estimate`` estimates, spells and writes a table one
-block of snapshots at a time, in up to one process per usable core, with
-the same bytes and no setting; each forked child adds about 5.6-6.8 MiB
-of private memory at the default config.
+capture metadata.  ``estimate`` writes a snapshots × axis table, one row
+per snapshot and delay (``pdp``, ``cir``) or occupied bin
+(``response``), whose snapshot numbers and axis values are spelled once
+per table.  It estimates, spells and writes the value columns one block
+of snapshots at a time, in up to one process per usable core, with the
+same bytes and no setting; each forked child adds about 5.6-6.8 MiB of
+private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -65,24 +68,26 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _emit(columns: dict, block, count: int, out_path: str, fmt: str) -> None:
-    """Write ``count`` blocks of rows as CSV with a header row, or JSON-lines.
+def _emit(axis: dict, values: list, block, count: int, per: int, out_path: str, fmt: str):
+    """Write ``count`` snapshots × an axis as CSV with a header row, or JSON-lines.
 
-    ``columns`` maps each name to a pair's values, spelled once for the
-    table, or to None.  ``block(i)`` makes block ``i``'s columns in that
-    order: a pair's index into its values, or the other columns' values.
-    Values are spelled with the tokens that ``csv.writer`` and
-    ``json.dumps`` write: ``repr`` of each finite value
-    (:func:`floattext.spell` for floats), and ``nan``, ``inf``, ``-inf`` in
-    CSV or ``NaN``, ``Infinity``, ``-Infinity`` in JSON-lines.  A block's
-    rows are one NUL-padded byte matrix, written without its NULs.  Block 0
-    is made before the output is opened, even for no blocks, and no block
-    is longer; columns of different lengths raise ``ValueError``.
-    Contiguous shares of the blocks are made and written here and in forked
-    children, whose temporary files are copied on in order; a failed
-    child's message is raised here.
+    A row holds its ``snapshot`` number, its values of the ``axis`` columns
+    (each name mapped to int64 or float64 values of one length, one per row
+    of a snapshot), then the float64 columns named in ``values``, which
+    ``block(i)`` makes for snapshots ``i·per`` up to ``(i + 1)·per``, one
+    snapshot's rows after another.  The snapshot numbers and the axis are
+    spelled once per table, and the axis is laid into each share's row
+    matrix once, with the separators.  Values are spelled with the tokens
+    that ``csv.writer`` and ``json.dumps`` write: ``repr`` of each finite
+    value (:func:`floattext.spell` for floats), and ``nan``, ``inf``,
+    ``-inf`` in CSV or ``NaN``, ``Infinity``, ``-Infinity`` in JSON-lines.
+    A block's rows are one NUL-padded byte matrix, written without its
+    NULs.  Block 0 is made before the output is opened, even for no
+    snapshots.  Contiguous shares of the blocks are made and written here
+    and in forked children, whose temporary files are copied on in order;
+    a failed child's message is raised here.
     """
-    names = list(columns)
+    names = ["snapshot", *axis, *values]
     if fmt == "csv":
         header, special = ",".join(names) + "\r\n", ("nan", "inf")
         seps = [""] + [","] * (len(names) - 1) + ["\r\n"]
@@ -90,58 +95,41 @@ def _emit(columns: dict, block, count: int, out_path: str, fmt: str) -> None:
         header, special = "", ("NaN", "Infinity")
         seps = [f"{', ' if i else '{'}{json.dumps(n)}: " for i, n in enumerate(names)] + ["}\n"]
 
-    def width(v):  # bytes of the longest text of a column's values
+    def spell(v):  # a column's rows of text, as wide as its longest
         if v.dtype.kind == "f":
-            return floattext.WIDTH
-        return max(len(str(v.min(initial=0))), len(str(v.max(initial=0))))
-
-    def spell(v, size, out=None):  # a column's rows of text, written into out if given
-        if v.dtype.kind == "f":
-            return floattext.spell(v, *special, out=out)
-        text = v.astype(f"S{size}").view(np.uint8).reshape(len(v), size)
-        if out is not None:
-            out[...] = text
-        return text
-
-    def rows(cols):
-        lengths = {len(c) for c in cols}
-        if len(lengths) != 1:
-            raise ValueError(f"columns must have one length, not {sorted(lengths)}")
-        return lengths.pop()
+            return floattext.spell(v, *special)
+        size = max(len(str(v.min(initial=0))), len(str(v.max(initial=0))))
+        return v.astype(f"S{size}").view(np.uint8).reshape(len(v), size)
 
     def write(share, dest):
-        # One row layout per table: the separators are laid out once.
-        text = np.zeros((len(first[0]), ends[-1]), np.uint8)
+        # One row layout per table: the separators and the axis are laid out once.
+        text = np.zeros((min(per, count), len(texts[-1]), ends[-1]), np.uint8)
         for sep, end in zip(seps, ends):
-            text[:, end - len(sep):end] = np.frombuffer(sep.encode(), np.uint8)
-        flat = text.reshape(-1)
-        held = [None] * len(texts)  # the index whose text a pair's field holds
+            text[..., end - len(sep):end] = np.frombuffer(sep.encode(), np.uint8)
+        for t, at in zip(texts[1:], ends[1:]):
+            text[..., at:at + t.shape[1]] = t
+        flat, rows = text.reshape(-1), text.reshape(-1, ends[-1])
         for i in share:
-            cols = block(i) if i else first
-            n = rows(cols)
-            for j, (c, t, size, at) in enumerate(zip(cols, texts, sizes, ends)):
-                if t is None:  # spelled straight into its field
-                    spell(c, size, text[:n, at:at + size])
-                elif not np.array_equal(c, held[j]):  # an axis repeats from block to block
-                    text[:n, at:at + size] = np.take(t, c, axis=0)
-                    held[j] = c.copy()  # block() may refill one index array
+            k = min(per, count - i * per)  # the block's snapshots
+            text[:k, :, ends[0]:ends[0] + sizes[0]] = texts[0][i * per:i * per + k, None]
+            n = k * text.shape[1]
+            for c, at in zip(block(i) if i else first, ends[len(texts):]):
+                floattext.spell(c, *special, out=rows[:n, at:at + floattext.WIDTH])
             written = flat[:n * ends[-1]]
             dest.write(written[written != 0])
         dest.flush()
 
     first = block(0)
-    rows(first)
-    texts = [None if v is None else spell(v, width(v)) for v in columns.values()]
-    # The later blocks are not made yet: a block column is as wide as its dtype.
-    sizes = [t.shape[1] if t is not None else width(c if c.dtype.kind == "f" else np.array(
-        [np.iinfo(c.dtype).min, np.iinfo(c.dtype).max])) for t, c in zip(texts, first)]
+    texts = [spell(v) for v in (np.arange(count), *axis.values())]
+    sizes = [t.shape[1] for t in texts] + [floattext.WIDTH] * len(values)
     # Where each field starts, then where the row ends.
     ends = np.cumsum([len(sep) + size for sep, size in zip(seps, [0] + sizes)])
     with open(out_path, "wb") as fh, contextlib.ExitStack() as spools:
         fh.write(header.encode())
         # Forked, not threaded: the formatter's numpy calls on BLOCK_LEN values hold the GIL.
-        workers = min(campaign._usable_cores(), count) if hasattr(os, "fork") else 1
-        shares, parent, children = np.array_split(range(count), max(workers, 1)), os.getpid(), []
+        blocks = -(-count // per)
+        workers = min(campaign._usable_cores(), blocks) if hasattr(os, "fork") else 1
+        shares, parent, children = np.array_split(range(blocks), max(workers, 1)), os.getpid(), []
         try:
             for share in shares[1:]:
                 spool = spools.enter_context(tempfile.TemporaryFile())
@@ -261,30 +249,25 @@ def _cmd_estimate(args) -> int:
 
     def block(i):
         response = respond(slice(i * per, (i + 1) * per)) if i else first
-        snaps = np.arange(i * per, i * per + len(response.bins))
-        snapshot, k = np.repeat(snaps, len(index)), np.tile(index, len(snaps))
         if args.kind == "response":
             values = response.bins[:, index].ravel()
-            return [snapshot, k, k, values.real, values.imag]
+            return [values.real, values.imag]
         cir = to_cir(response)
         if args.kind == "cir":
-            return [snapshot, k, cir.real.ravel(), cir.imag.ravel()]
+            return [cir.real.ravel(), cir.imag.ravel()]
         # Exported power is relative to each snapshot's strongest tap;
         # absolute reference levels are not calibrated.
         power_db = power_delay_profile(cir)
         power_db -= power_db.max(axis=-1, keepdims=True)
-        return [snapshot, k, power_db.ravel()]
+        return [power_db.ravel()]
 
-    # Axis and index columns are pairs: each value is spelled once.
-    axis = np.arange(cfg.signal_len)
-    columns = {"snapshot": np.arange(count)}
     if args.kind == "response":
-        columns["bin"] = axis
-        columns["freq_offset_hz"] = np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)
+        axis = {"bin": index,
+                "freq_offset_hz": np.fft.fftfreq(cfg.signal_len, d=cfg.sample_period_s)[index]}
     else:
-        columns["delay_s"] = axis * cfg.sample_period_s
-    columns.update(dict.fromkeys(["power_rel_peak_db"] if args.kind == "pdp" else ["real", "imag"]))
-    _emit(columns, block, -(-count // per), args.out, args.format)
+        axis = {"delay_s": index * cfg.sample_period_s}
+    values = ["power_rel_peak_db"] if args.kind == "pdp" else ["real", "imag"]
+    _emit(axis, values, block, count, per, args.out, args.format)
     summary = {"rows": count * len(index), "out": args.out, "kind": args.kind}
     if args.kind == "pdp":
         summary["normalization"] = "peak-relative"

@@ -1,13 +1,16 @@
 """The block-wise table writer against the per-row writer it replaced.
 
-``cli._emit`` makes and spells a table one block of rows at a time, and
-the values of a ``(values, index)`` pair once per table, in up to one
-process per usable core; here a block is ``BLOCK_LEN`` rows of whole
-columns.  The oracle below is the earlier writer,
-one ``csv.writer`` or ``json.dumps`` call per row, given
-``values[index]`` for a pair; both must write the same bytes for any
-int64 and float64 columns, including NaN, infinities, -0.0, subnormals
-and the magnitudes that ``repr`` spells in exponent form, at any worker
+``cli._emit`` writes a table of snapshots × an axis: each snapshot has
+one row per entry of the axis columns, and a row holds the snapshot's
+number, its axis values and its value columns.  It spells the snapshot
+numbers and the axis once per table and the value columns one block of
+snapshots at a time, in up to one process per usable core; here a block
+holds ``BLOCK_LEN // rows`` snapshots, as ``estimate`` makes them.  The
+oracle below is the earlier writer, one ``csv.writer`` or ``json.dumps``
+call per row, given every row's snapshot number and axis values; both
+must write the same bytes for any int64 and float64 axis columns and
+float64 value columns, including NaN, infinities, -0.0, subnormals and
+the magnitudes that ``repr`` spells in exponent form, at any worker
 count.  A failing worker process must be reported and every one reaped.
 """
 
@@ -30,7 +33,7 @@ from soundersim.config import SounderConfig
 from soundersim.fixedpoint import quantize, quantize_clipped, to_float
 from soundersim.waveform import ZcParams, build_sounding_symbol
 
-BLOCK = 4
+BLOCK = 12
 
 #: Worker counts the writer is checked at; 8 exceeds most tables' blocks.
 WORKERS = [1, 2, 3, 8]
@@ -58,94 +61,76 @@ def _emit_per_row(columns, out_path, fmt):
                 fh.write(json.dumps(dict(zip(names, row))) + "\n")
 
 
-def _emit_columns(columns, out_path, fmt):
-    """``cli._emit`` of whole columns in blocks of ``cli.BLOCK_LEN`` rows; a
-    column is an array or a pair ``(values, index)``."""
-    rows = [c[1] if isinstance(c, tuple) else c for c in columns.values()]
-    size = cli.BLOCK_LEN
-    cli._emit({name: c[0] if isinstance(c, tuple) else None for name, c in columns.items()},
-              lambda i: [c[i * size:(i + 1) * size] for c in rows],
-              -(-max(map(len, rows)) // size), out_path, fmt)
+def _rows(axis):
+    """Rows per snapshot: the length of the axis columns."""
+    return len(next(iter(axis.values())))
+
+
+def _emit_table(axis, values, count, out_path, fmt):
+    """``cli._emit`` of ``count`` snapshots × ``axis`` in blocks of
+    ``cli.BLOCK_LEN // rows`` snapshots, at least one; ``values`` maps each
+    value column's name to its whole column."""
+    per = max(1, cli.BLOCK_LEN // max(_rows(axis), 1))
+    size = per * _rows(axis)
+    cli._emit(axis, list(values), lambda i: [v[i * size:(i + 1) * size] for v in values.values()],
+              count, per, out_path, fmt)
+
+
+def _emit_table_per_row(axis, values, count, out_path, fmt):
+    """The per-row writer, given every row's snapshot number and axis values."""
+    _emit_per_row({"snapshot": np.repeat(np.arange(count), _rows(axis)),
+                   **{name: np.tile(a, count) for name, a in axis.items()}, **values},
+                  out_path, fmt)
 
 
 @st.composite
 def tables(draw):
-    """Named int64 and float64 columns of one length around the block size.
+    """A table ``(axis, values, count)`` of snapshots × an axis.
 
-    A column is an array or a pair ``(values, index)`` whose index may be
-    unsorted and repeat entries.
+    The axis is one to three int64 and float64 columns of up to 6 rows; the
+    snapshot count sits around the block's snapshot count ``per``; the one
+    to three float64 value columns hold one value per row of the table.
     """
-    length = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK,
-                                   5 * BLOCK + 2, 9 * BLOCK + 1]))
-    kinds = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4))
-    columns = {}
-    for i, (is_float, is_pair) in enumerate(kinds):
-        size = draw(st.integers(1 if length else 0, 6)) if is_pair else length
-        values = draw(arrays(np.float64, size, elements=FLOATS) if is_float
-                      else arrays(np.int64, size, elements=INTS))
-        columns[f"c{i}_{'f' if is_float else 'i'}{'_pair' if is_pair else ''}"] = (
-            (values, draw(arrays(np.int64, length, elements=st.integers(0, max(size - 1, 0)))))
-            if is_pair else values)
-    return columns
+    rows = draw(st.integers(0, 6))
+    per = max(1, BLOCK // max(rows, 1))
+    count = draw(st.sampled_from([0, 1, per - 1, per, per + 1, 3 * per, 5 * per + 2,
+                                  9 * per + 1]))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    axis = {f"a{i}_{'f' if is_float else 'i'}":
+            draw(arrays(np.float64, rows, elements=FLOATS) if is_float
+                 else arrays(np.int64, rows, elements=INTS))
+            for i, is_float in enumerate(kinds)}
+    values = {f"v{i}": draw(arrays(np.float64, count * rows, elements=FLOATS))
+              for i in range(draw(st.integers(1, 3)))}
+    return axis, values, count
 
 
-# A pair's JSON fallback covers its whole table: here the index reaches a
-# non-finite value only in the last block.
-@example(columns={"delay": (np.array([-0.0, 5e-324, math.nan, -math.inf]),
-                            np.array([1, 0, 1, 0, 0, 3, 2]))}, fmt="json-lines", workers=1)
-@example(columns={"bin": (np.array([7, -2**63]), np.array([1, 1, 0])),
-                  "y": np.array([math.inf, 1e16, -0.0])}, fmt="json-lines", workers=1)
-# No rows, and fewer blocks than workers.
-@example(columns={"y": np.array([], dtype=np.float64)}, fmt="csv", workers=8)
-@example(columns={"y": np.array([], dtype=np.float64)}, fmt="json-lines", workers=3)
-@example(columns={"x": np.arange(BLOCK + 1), "y": np.ones(BLOCK + 1)}, fmt="csv", workers=8)
+# Non-finite and signed-zero axis values, spelled once in the parent.
+@example(table=({"delay": np.array([-0.0, 5e-324, math.nan, -math.inf])},
+                {"y": np.linspace(-1.0, 1.0, 28)}, 7), fmt="json-lines", workers=1)
+@example(table=({"bin": np.array([7, -2**63]), "hz": np.array([1e16, -0.0])},
+                {"y": np.array([math.inf, 1e16, -0.0, 5e-324])}, 2),
+         fmt="json-lines", workers=1)
+# No rows: no snapshots, or an empty axis; and fewer blocks than workers.
+@example(table=({"delay": np.array([0.5])}, {"y": np.array([])}, 0), fmt="csv", workers=8)
+@example(table=({"bin": np.array([], np.int64)}, {"y": np.array([])}, 5),
+         fmt="json-lines", workers=3)
+@example(table=({"x": np.arange(2)}, {"y": np.ones(14)}, 7), fmt="csv", workers=8)
 # Three blocks over two workers: the child's share is the last block, the
-# only one whose float column falls back to json.dumps for -inf.
-@example(columns={"k": (np.array([0.5, 2.0]), np.arange(3 * BLOCK) % 2),
-                  "y": np.array([1.5] * (3 * BLOCK - 1) + [-math.inf])},
+# only one whose value column holds a non-finite value.
+@example(table=({"k": np.array([0.5, 2.0])}, {"y": np.array([1.5] * 35 + [-math.inf])}, 18),
          fmt="json-lines", workers=2)
 @settings(max_examples=400)
-@given(columns=tables(), fmt=st.sampled_from(["csv", "json-lines"]),
+@given(table=tables(), fmt=st.sampled_from(["csv", "json-lines"]),
        workers=st.sampled_from(WORKERS))
-def test_block_writer_matches_per_row_writer(columns, fmt, workers):
-    gathered = {name: c[0][c[1]] if isinstance(c, tuple) else c
-                for name, c in columns.items()}
+def test_block_writer_matches_per_row_writer(table, fmt, workers):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(cli, "BLOCK_LEN", BLOCK)
         mp.setattr(campaign, "_usable_cores", lambda: workers)
         expected, actual = Path(tmp, "expected"), Path(tmp, "actual")
-        _emit_per_row(gathered, expected, fmt)
-        _emit_columns(columns, actual, fmt)
+        _emit_table_per_row(*table, expected, fmt)
+        _emit_table(*table, actual, fmt)
         assert actual.read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-@pytest.mark.parametrize("columns", [
-    {"a": np.arange(3), "b": np.zeros(2)},
-    {"a": (np.arange(5), np.array([0, 4, 4])), "b": np.zeros(4)},
-    {"a": np.zeros(1), "b": (np.arange(2), np.array([], dtype=np.int64))},
-], ids=["arrays", "pair-longer", "pair-empty"])
-def test_columns_of_different_lengths_raise(tmp_path, columns, fmt):
-    with pytest.raises(ValueError, match="one length"):
-        _emit_columns(columns, tmp_path / "out", fmt)
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_refilled_index_array_is_gathered_again(tmp_path, monkeypatch):
-    # A pair's field is kept from one block to the next when its index is
-    # unchanged; block() may hand back one index array refilled, so the
-    # writer compares with the index it gathered, not with the array.
-    monkeypatch.setattr(cli, "BLOCK_LEN", BLOCK)
-    monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
-    values, index = np.array([0.5, -2.0, 1e-7]), np.empty(BLOCK, np.int64)
-
-    def block(i):
-        index[:] = (np.arange(BLOCK) + i) % len(values)
-        return [index]
-    cli._emit({"x": values}, block, 3, tmp_path / "actual", "csv")
-    rows = np.concatenate([(np.arange(BLOCK) + i) % len(values) for i in range(3)])
-    _emit_per_row({"x": values[rows]}, tmp_path / "expected", "csv")
-    assert (tmp_path / "actual").read_bytes() == (tmp_path / "expected").read_bytes()
 
 
 CREATED = "2026-03-01T12:00:00+00:00"
@@ -153,7 +138,8 @@ CREATED = "2026-03-01T12:00:00+00:00"
 
 @pytest.fixture(scope="module")
 def capture(tmp_path_factory):
-    """Three noiseless snapshots of 64 samples: 192 rows, 12 blocks of 16."""
+    """Three noiseless snapshots of 64 samples: 192 rows, in 3 blocks of one
+    snapshot at ``BLOCK_LEN`` 16."""
     cfg = SounderConfig(
         signal_len=64, discard_len=128, avg_count=4, shift_bits=2,
         rep_period_s=1e-3, sample_period_s=1.0 / 512_000,
@@ -167,7 +153,7 @@ def capture(tmp_path_factory):
 
 @pytest.fixture
 def forked(monkeypatch, tmp_path):
-    """Three workers over blocks of 16 rows, temporary files in their own
+    """Three workers over blocks of ``BLOCK_LEN`` 16, temporary files in their own
     directory; yields the pids that ``os.fork`` returned to this process."""
     monkeypatch.setattr(cli, "BLOCK_LEN", 16)
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 3)
@@ -241,15 +227,16 @@ def test_workers_write_to_a_non_regular_output(forked, capture, capsys):
 
 @pytest.mark.parametrize("case", ["one core", "one block", "no fork"])
 def test_serial_cases_fork_nothing(monkeypatch, forked, tmp_path, case):
-    columns = {"x": np.arange(40), "y": np.linspace(-1.0, 1.0, 40)}  # 3 blocks of 16
+    # 5 snapshots of 8 rows: 3 blocks of 2 snapshots, or 1 of 5.
+    table = ({"x": np.arange(8)}, {"y": np.linspace(-1.0, 1.0, 40)}, 5)
     if case == "one core":
         monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
     elif case == "one block":
         monkeypatch.setattr(cli, "BLOCK_LEN", 40)
     else:
         monkeypatch.delattr(os, "fork")
-    _emit_columns(columns, tmp_path / "actual", "csv")
-    _emit_per_row(columns, tmp_path / "expected", "csv")
+    _emit_table(*table, tmp_path / "actual", "csv")
+    _emit_table_per_row(*table, tmp_path / "expected", "csv")
     assert (tmp_path / "actual").read_bytes() == (tmp_path / "expected").read_bytes()
     assert forked == []
 
