@@ -213,9 +213,6 @@ def _add_tone(out: np.ndarray, tone: Interferer, start_index: int, scratch: np.n
     A block of rows times ``F`` is ``rr·F + ri·(i·F)`` over interleaved
     (re, im) pairs, the same real arithmetic as :func:`_cmul`, worked out
     in the two rows of ``scratch`` and added to the piece of ``out`` it covers.
-    ``np.einsum`` forms each product with one rounding, as a multiply does,
-    but a −0.0 product comes out +0.0: that can only flip the sign of a zero
-    sum, which the quantizer maps to 0 either way.
     """
     first, last = start_index >> 8, (start_index + len(out) - 1) >> 8
     spin = np.exp(complex(0.0, tone.phase))
@@ -230,8 +227,9 @@ def _add_tone(out: np.ndarray, tone: Interferer, start_index: int, scratch: np.n
                       for part in scratch)
     for r in range(0, len(rows), per_block):
         k = min(per_block, len(rows) - r)
-        np.einsum("i,jk->ijk", row_r[r : r + k], fine, out=pairs[:k])
-        np.einsum("i,jk->ijk", row_i[r : r + k], fine_times_i, out=product[:k])
+        np.multiply(row_r[r : r + k, np.newaxis, np.newaxis], fine, out=pairs[:k])
+        np.multiply(row_i[r : r + k, np.newaxis, np.newaxis], fine_times_i,
+                    out=product[:k])
         np.add(pairs[:k], product[:k], out=pairs[:k])
         block = pairs[:k].view(np.complex128).reshape(-1)
         lo = (first + r) * _ROW - start_index  # where the block starts in ``out``

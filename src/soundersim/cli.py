@@ -9,7 +9,7 @@ per snapshot and delay (``pdp``, ``cir``) or occupied bin
 (``response``), whose snapshot numbers and axis values are spelled once
 per table.  It estimates, spells and writes the value columns one block
 of snapshots at a time, in up to one process per usable core, with the
-same bytes and no setting; each forked child adds about 5.6-6.8 MiB of
+same bytes and no setting; each forked child adds about 4.0-5.8 MiB of
 private memory at the default config.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,

@@ -5,15 +5,20 @@ Floating-Point Binary-to-Decimal Conversion Algorithm", 2020) in numpy
 integer arithmetic: one 64 x 128-bit product per value scales the upper
 end of the value's rounding interval by a power of ten, and its
 remainder modulo 1000 against the interval's width picks the shortest
-candidate.  The few lanes where that remainder or the distance to the
-value sits on an edge, the shorter interval below a power of two, and
-subnormals and zero are finished on their own subset, with exact tests
-of which scaled ends are integers.  A one-digit result is allowed, as in
-Python (``5e-324``).  The layout is ``repr``'s: positional when the
-decimal point falls in -4 < decpt <= 16, a whole number ending in
-``.0``, otherwise ``d[.ddd]e±XX`` with at least two exponent digits.
-The text is built as three little-endian 64-bit words per value, its
-digits looked up four at a time.
+candidate.  The words of that product also settle, on every lane, the
+edges Dragonbox tests with a second product: whether the lower end is
+below a candidate on it, and whether a distance divisible by 100 puts
+the estimate one high.  Only lanes where an end or the value may be an
+integer where that matters, the shorter interval below a power of two
+and subnormals are finished on their own subset, with exact tests of
+which scaled ends are integers.  A one-digit result is allowed, as in
+Python (``5e-324``).  The layout is ``repr``'s: positional when the decimal
+point falls in -4 < decpt <= 16, a whole number ending in ``.0``,
+otherwise ``d[.ddd]e±XX`` with at least two exponent digits.  The text
+is built as three little-endian 64-bit words per value in one pass per
+word: the digits, looked up four at a time, are cut after the shown
+ones, those after the point move up a byte for it, the prefix's bytes
+shift them all up and the suffix follows.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .fixedpoint import BLOCK_LEN
 _K_MIN, _K_MAX = -292, 326
 _M32 = np.uint64(2**32 - 1)
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
+_DOT = np.uint64(ord("."))
 
 
 def _cache():
@@ -53,23 +59,15 @@ _ENDS = np.array([[1], [2**64 - 1]], np.uint64)
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 #: Sign and leading "0." with 0-3 zeros, indexed ``2 * (zeros + 1) + neg``,
 #: or ``neg`` alone for the sign without a leading "0.".
-_PREFIX_TEXT = [s + z for z in ("", "0.", "0.0", "0.00", "0.000") for s in ("", "-")]
-_PREFIXES = _words(_PREFIX_TEXT)
-_PREFIX_BITS = np.array([8 * len(t) for t in _PREFIX_TEXT], np.uint64)
+_PREFIXES = _words([s + z for z in ("", "0.", "0.0", "0.00", "0.000") for s in ("", "-")])
 #: By the decimal point's place ``decpt`` in [-323, 309], at ``decpt + 323``:
-#: the exponent suffix, empty in the positional layout, and the prefix of
-#: a positional number below 1 (``-decpt`` zeros after "0.").
-_DECPT = range(-323, 310)
-_SUFFIXES = _words(["" if -4 < d <= 16 else f"e{d - 1:+03d}" for d in _DECPT])
-_ZERO_PREFIX = np.array([2 * (1 - d) if -4 < d <= 0 else 0 for d in _DECPT], np.int8)
-#: ``_LOW[n + _ROWS]`` masks the lowest ``n`` bytes of a three-word string, and
-#: ``_DOTS[n + _ROWS]`` holds a "." at byte ``n`` (none at 24).
-_LOW = np.array([[(1 << 8 * min(max(n - 8 * i, 0), 8)) - 1 for n in range(26)]
-                 for i in range(3)], np.uint64)
-_DOTS = ((_LOW ^ np.roll(_LOW, -1, axis=1)) & np.uint64(0x2E2E2E2E2E2E2E2E)).ravel()
-_LOW = _LOW.ravel()
-_ROWS = np.array([[0], [26], [52]])
-_BITS = np.array([[0], [64], [128]], np.uint64)  # where each word starts
+#: the exponent suffix, empty in the positional layout.
+_SUFFIXES = _words(["" if -4 < d <= 16 else f"e{d - 1:+03d}" for d in range(-323, 310)])
+#: ``_LOW[i, n]`` masks the lowest ``n`` bytes of a string in its word ``i``,
+#: ``_HIGH[i, n]`` the others.
+_LOW = np.array([[(1 << 8 * min(max(n - 8 * i, 0), 8)) - 1 for n in range(25)]
+                 for i in range(2)], np.uint64)
+_HIGH = ~_LOW
 #: ``_DIGITS[n]``: the four decimal digits of ``n < 10^4`` as ASCII, first digit lowest.
 _DIGITS = (np.arange(10_000, dtype=np.int16)[:, None] // 10 ** np.arange(3, -1, -1, dtype=np.int16)
            % 10 + 48).astype(np.uint8).view("<u4").ravel()
@@ -79,20 +77,23 @@ WIDTH = 24
 
 
 def _mul(u, hi, lo):
-    """The top two words of the 192-bit product ``u (hi 2^64 + lo)``, from
-    32-bit limbs: ``floor(u phi / 2^128)`` and the next 64 bits."""
+    """The top two words of the 192-bit product ``u (hi 2^64 + lo)`` for
+    ``u < 2^63``, from 32-bit limbs: ``floor(u phi / 2^128)`` and the next
+    64 bits."""
     u0, u1 = u & _M32, u >> 32
 
-    def high(g):  # the high word of u g
+    def high(g):  # the high word of u g; the middle sum cannot overflow
         g0, g1 = g & _M32, g >> 32
-        mid, b, c = u0 * g0, u0 * g1, u1 * g0
-        g1 *= u1
+        mid = u0 * g0
         mid >>= 32
-        mid += b & _M32
-        mid += c & _M32
-        for part in (b, c, mid):
-            part >>= 32
-            g1 += part
+        carry = u1 * g0
+        mid += carry & _M32
+        mid += u0 * g1
+        carry >>= 32
+        g1 *= u1
+        g1 += carry
+        mid >>= 32
+        g1 += mid
         return g1
     low = u * hi
     mid = high(lo)
@@ -128,25 +129,41 @@ def _decimal(bits):
     below ``z`` is in the interval when ``z mod 1000 < delta``, and
     otherwise the multiple of 100 nearest the value is.
     """
-    be = (bits >> 52 & 0x7FF).view(np.int64)
-    c = np.minimum(be, 1).view(np.uint64) << 52
-    c |= bits & 2**52 - 1
+    be = (bits >> 52).astype(np.int16) & 0x7FF  # the biased exponent
     q = np.maximum(be, 1) - 1075  # the value is c 2^q
-    e = q * 315_653 >> 20  # floor(q log10 2)
+    e = (q * np.int32(315_653)) >> 20  # floor(q log10 2)
     k = 2 - e
-    beta = (q + (k * 1_741_647 >> 19)).view(np.uint64)  # q + floor(k log2 10), in [6, 9]
-    hi, lo = np.take(_HI, k - _K_MIN), np.take(_LO, k - _K_MIN)
+    beta = (q + (k * 1_741_647 >> 19)).astype(np.uint64)  # q + floor(k log2 10), in [6, 9]
+    row = (k - _K_MIN).astype(np.intp)
+    hi, lo = np.take(_HI, row), np.take(_LO, row)
+    fraction = bits & 2**52 - 1
+    c = fraction | np.left_shift(be > 0, 52, dtype=np.uint64)
     z, mid = _mul((c << 1 | 1) << beta, hi, lo)
-    delta = hi >> 63 - beta
+    delta = (hi >> 63 - beta).astype(np.uint16)  # under 2^10, as are r and dist
     s = z // 1000
-    r = z - s * 1000
-    dist = r - (delta >> 1) + 50
+    r = (z - s * 1000).astype(np.uint16)
+    edge = r == delta
+    # X's (at an edge) or Y's product is Z's less phi 2^sh: t is its middle
+    # word up to a borrow from below, and a borrow out of it flips the floor.
+    sh = beta + edge
+    t = mid - (hi << sh | lo >> 64 - sh)
+    borrow = t > mid
+    above = r > delta
+    dist = r - (delta >> 1) + 50  # wraps only where the multiple of 1000 is inside
     dq = dist // 100
-    f = s * 10 + dq * (r > delta)
-    # Rare lanes: r = 0 or delta, a distance divisible by 100, a power of two,
-    # a subnormal or zero.
-    rare = np.flatnonzero(np.minimum(np.minimum(np.minimum(r, r ^ delta), dist - dq * 100),
-                                     np.minimum(bits << 12, be.view(np.uint64))) == 0)
+    tie = dq * 100 == dist
+    # The multiple of 1000 is inside below delta, or on it when X's floor is odd.
+    f = s * 10 + dq * (above | edge & ~borrow)
+    # A distance divisible by 100: the estimate is one high when Y's floor
+    # has the other parity than it, that is when its product borrows.
+    f -= tie & above & borrow
+    # Zero's search lands on f = 0, and its point follows its first digit.
+    e[f == 0] = -15
+    # Rare lanes: an end or the value that may be an integer where that
+    # matters (r and mid 0 for Z, t 0 or 1 for X at an edge or Y at a tie),
+    # a tie at an edge, a power of two or a subnormal.
+    rare = np.flatnonzero((r == 0) & (mid == 0) | (t < 2) & (edge | tie) | tie & edge
+                          | (fraction == 0) ^ (be == 0))
     if rare.size:
         f[rare], e[rare] = _rare(*(a[rare] for a in (be, c, q, k, beta, hi, lo, z, mid, delta)))
     return f, e
@@ -156,6 +173,7 @@ def _rare(be, c, q, k, beta, hi, lo, z, mid, delta):
     """Dragonbox's fixups of ``_decimal`` on a few lanes, from the top words
     ``z`` and ``mid`` of the upper end's product, with exact tests of which
     scaled interval ends and values are integers."""
+    be, q, k = (a.astype(np.int64) for a in (be, q, k))
     s = z // 1000
     r = z - s * 1000
     closed = (c & 1) == 0  # an odd significand's interval excludes its ends
@@ -198,67 +216,78 @@ def _rare(be, c, q, k, beta, hi, lo, z, mid, delta):
         f[short] = y + (ten - y) * (ten >= xi)
         e[short] = -k
     tiny = np.flatnonzero(be == 0)
-    if tiny.size:  # a subnormal's f has fewer digits: pad it to 16, zero's to none
+    if tiny.size:  # a subnormal's f has fewer digits: pad it to 16
         scale = np.maximum(16 - np.searchsorted(_POW10, f[tiny], "right"), 0)
         f[tiny] *= np.take(_POW10, scale)
         e[tiny] -= scale
-        e[tiny[f[tiny] == 0]] = -15  # zero's point follows its first digit
     return f, e
 
 
 def _spell_words(x, out):
     """Write ``repr`` of each finite float64 value as the three words of its
     ``out`` row."""
-    bits = x.view(np.uint64)
-    f, e = _decimal(bits)
+    f, e = _decimal(x.view(np.uint64))
     sixteen = f < 10**16
     f *= np.uint64(1) + np.uint64(9) * sixteen  # 17 digits, "0.0" for zero
-    decpt = e + 17 - sixteen
-    # Digits 1-16 in four 4-digit groups, looked up as two words of ASCII.
-    rest = f // 10
-    last = f - rest * 10
-    high = rest // 10**8
-    rest -= high * np.uint64(10**8)
-    digits = np.empty((len(f), 4), np.uint32)
-    for j, half in ((0, high), (2, rest)):
-        top = half // 10**4
-        digits[:, j] = np.take(_DIGITS, top.view(np.int64))
-        digits[:, j + 1] = np.take(_DIGITS, (half - top * np.uint64(10**4)).view(np.int64))
-    digits = digits.view(np.uint64)
-    # Significant digits: up to the last nonzero byte of the digits xor "0".
-    nonzero = np.frexp((digits ^ _ZEROS).astype(np.float64))[1] + 7 >> 3
-    sig = np.maximum(nonzero[:, 0], (nonzero[:, 1] + 8) * (nonzero[:, 1] > 0))
-    sig = np.maximum(sig, 17 * (last > 0))
+    decpt = e.astype(np.int16) + 17 - sixteen  # digits before the point
+    # Digits 1-8 and 9-17 as 32-bit halves, then 1-16 in four 4-digit
+    # groups, looked up at once as two words.
+    halves = np.empty((2, len(f)), np.uint32)
+    halves[0] = f // 10**9
+    halves[1] = f - halves[0] * np.uint64(10**9)
+    rest = halves[1] // 10
+    last = halves[1] - rest * np.uint32(10)
+    halves[1] = rest
+    groups = np.empty((2, len(f), 2), np.intp)
+    groups[..., 0] = rest = halves // 10**4
+    np.subtract(halves, rest * np.uint32(10**4), out=groups[..., 1])
+    digits = np.take(_DIGITS, groups).view(np.uint64).reshape(2, -1)
+    # Significant digits: up to the last nonzero byte of the digits xor "0",
+    # read from the exponent of both words as one float.
+    both = (digits ^ _ZEROS).astype(np.float64)
+    both[0] += both[1] * 2.0**64
+    sig = both[0].view(np.int16)[3::4] - (1015 << 4) >> 7
+    np.maximum(sig, (last > 0) * np.int16(17), out=sig)
     positional = (decpt > -4) & (decpt <= 16)
     whole = positional & (decpt > 0)
+    below = positional ^ whole  # "0." and -decpt zeros lead
     shown = np.maximum(sig, (decpt + 1) * whole)  # a whole number shows its zeros and one more
     dot = whole | ~positional & (sig > 1)
-    point = 24 - 23 * dot + whole * (decpt - 1)  # digits before the point
-    decpt += 323
-    prefix = np.take(_ZERO_PREFIX, decpt) + (bits >> 63).view(np.int64)
-    suffix = np.take(_SUFFIXES, decpt)
-    # The text as three rows of words: the digits, cut after the shown ones,
-    # then the point opens a gap, the suffix follows and the prefix leads.
-    text = np.empty((3, len(f)), np.uint64)
-    text[:2] = digits.T
-    np.add(last, 48, out=text[2])
-    text &= np.take(_LOW, shown + _ROWS)
-    point = point + _ROWS
-    head = text & np.take(_LOW, point)
-    text ^= head
-    tail = text[:2] >> 56
-    text <<= 8
-    text |= head
-    text |= np.take(_DOTS, point)
-    text[1:] |= tail
-    at = (8 * (shown + dot)).view(np.uint64)  # the suffix's offset in bits
-    # A negative count wraps, and shifts by 64 or more give 0.
-    text |= suffix << at - _BITS | suffix >> _BITS - at
-    up = np.take(_PREFIX_BITS, prefix)
-    spill = text[:2] >> 64 - up
-    text <<= up
-    np.bitwise_or(text[1:], spill, out=out[:, 1:].T)
-    np.bitwise_or(text[0], np.take(_PREFIXES, prefix), out=out[:, 0])
+    cut = 24 - dot * (23 - whole * (decpt - 1))  # digits before the point, 24 for none
+    neg = np.signbit(x)
+    lead = below * (2 - decpt) + neg  # bytes before the first digit
+    end = lead + shown + dot  # where the suffix starts
+    # The digits, cut after the shown ones, as three words; h holds those
+    # after the point, and d + 255 h moves them up a byte to make room for it.
+    d0, d1 = digits
+    d2 = (last + (shown > 16) * np.uint32(48) << dot * np.uint32(8)).astype(np.uint64)
+    shown = shown.astype(np.intp)
+    d0 &= np.take(_LOW[0], shown)
+    d1 &= np.take(_LOW[1], shown)
+    cut = cut.astype(np.intp)
+    h0 = d0 & np.take(_HIGH[0], cut)
+    h1 = d1 & np.take(_HIGH[1], cut)
+    at = (8 * cut).view(np.uint64)  # shifts by 64 or more give 0, and a negative count wraps
+    d1 += h0 >> 56
+    d2 |= h1 >> 56
+    for d, h, word in ((d0, h0, 0), (d1, h1, 64)):
+        h *= 255
+        d += h
+        d |= _DOT << at - word
+    d2 |= _DOT << at - 128
+    # The prefix leads, then the suffix follows the text.
+    up = (8 * lead).astype(np.uint64)
+    down = 64 - up
+    for high, low in ((d2, d1), (d1, d0)):
+        high <<= up
+        high |= low >> down
+    d0 <<= up
+    d0 |= np.take(_PREFIXES, (below * (2 - 2 * decpt) + neg).astype(np.intp))
+    suffix = np.take(_SUFFIXES, (decpt + 323).astype(np.intp))
+    at = (8 * end).astype(np.uint64)
+    np.bitwise_or(d0, suffix << at, out=out[:, 0])
+    np.bitwise_or(d1, suffix << at - 64 | suffix >> 64 - at, out=out[:, 1])
+    np.bitwise_or(d2, suffix << at - 128 | suffix >> 128 - at, out=out[:, 2])
 
 
 def spell(values: np.ndarray, nan: str = "nan", inf: str = "inf",

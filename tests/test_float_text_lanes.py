@@ -1,17 +1,19 @@
 """The float formatter's rare lanes and its writes into a wider row matrix.
 
-``floattext._decimal`` takes Dragonbox's main path on every value and
-recomputes a few lanes exactly: the scaled upper end of an interval that
-excludes it, a remainder equal to the interval's width (is the lower end
-below the candidate?), a distance divisible by 100 (is the estimate one
-high, or the value exactly halfway?), the shorter interval below a power
-of two, and subnormals and zero, whose digits are padded.  Random bit
-patterns reach these lanes only by chance; each has named inputs here,
-checked against ``repr``.
+``floattext._decimal`` decides Dragonbox's edge cases in its main path
+where the words of one product settle them: a remainder equal to the
+interval's width (is the lower end below the candidate?) and a distance
+divisible by 100 (is the estimate one high?), and zero.  It recomputes a
+few lanes exactly: the scaled upper end of an interval that excludes it,
+an end or value that may be an integer (the tie to even), the shorter
+interval below a power of two, and subnormals, whose digits are padded.
+Random bit patterns reach these lanes only by chance; each has named
+inputs here, checked against ``repr``, alone and among ordinary values.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soundersim import floattext
 
@@ -38,6 +40,26 @@ def test_rare_lanes_match_repr(lane):
     rows = floattext.spell(values)
     assert [row.tobytes().rstrip(b"\0").decode() for row in rows] == [
         repr(v) for v in values.tolist()]
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1))
+def test_rare_lanes_inside_ordinary_blocks_match_repr(seed):
+    # Every rare lane's values, of both signs, at drawn places among ordinary
+    # values over a block and three more: a lane's fixup that lands on
+    # another lane of the block shows here, as it cannot among rare values
+    # alone.  Both spellings, standalone and into an unaligned field.
+    rare = np.array(sum(RARE_LANES.values(), []))
+    rng = np.random.default_rng(seed)
+    length = floattext.BLOCK_LEN + 3
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-12, 12, length)
+    values[rng.choice(length, 2 * len(rare), replace=False)] = np.concatenate([rare, -rare])
+    expected = [repr(v).encode() for v in values.tolist()]
+    for special in [(), ("NaN", "Infinity")]:
+        field = np.zeros((length, 31), np.uint8)[:, 5:5 + floattext.WIDTH]
+        for rows in (floattext.spell(values, *special),
+                     floattext.spell(values, *special, out=field)):
+            assert [row.tobytes().rstrip(b"\0") for row in rows] == expected
 
 
 #: Values the export meets, non-finite ones and subnormals among them.

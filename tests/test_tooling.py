@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,25 @@ def test_float_text_tables_stay_small():
     from soundersim import floattext
     tables = [v for v in vars(floattext).values() if isinstance(v, np.ndarray)]
     assert tables and sum(t.nbytes for t in tables) <= 64 * 1024
+
+
+def test_float_text_pass_stays_within_its_memory_budget():
+    # One formatter pass over a block, written into the caller's rows, keeps
+    # at most 2.3 MiB of temporaries traced, about one core's L2 on the
+    # bench box, for its 192 KiB of text.
+    from soundersim import floattext
+    rng = np.random.default_rng(2901)
+    values = rng.standard_normal(floattext.BLOCK_LEN) * 10.0 ** rng.integers(
+        -20, 20, floattext.BLOCK_LEN)
+    field = np.zeros((floattext.BLOCK_LEN, 31), np.uint8)[:, 5:5 + floattext.WIDTH]
+    floattext.spell(values, out=field)
+    tracemalloc.start()
+    try:
+        floattext.spell(values, out=field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * 2**20
 
 
 def test_campaign_binds_no_oracle():
