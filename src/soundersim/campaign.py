@@ -370,8 +370,10 @@ def read_capture(path) -> Capture:
         CaptureFormatError: bad magic, unsupported version, malformed
             header, or payload size mismatch.
     """
-    with open(path, "rb") as fh:
-        raw = bytearray(fh.read())  # writable, so snapshot data is too
+    with open(path, "rb") as fh:  # one writable buffer, so snapshot data is too
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(raw)
+        raw[got:] = fh.read()  # a pipe's bytes, as fstat sizes it 0
     if len(raw) < _PROLOGUE.size:
         raise CaptureFormatError(f"file too short for prologue: {len(raw)} bytes")
     magic, version, header_len = _PROLOGUE.unpack_from(raw)

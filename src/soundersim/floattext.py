@@ -8,17 +8,18 @@ remainder modulo 1000 against the interval's width picks the shortest
 candidate.  The words of that product also settle, on every lane, the
 edges Dragonbox tests with a second product: whether the lower end is
 below a candidate on it, and whether a distance divisible by 100 puts
-the estimate one high.  Only lanes where an end or the value may be an
-integer where that matters, the shorter interval below a power of two
-and subnormals are finished on their own subset, with exact tests of
-which scaled ends are integers.  A one-digit result is allowed, as in
-Python (``5e-324``).  The layout is ``repr``'s: positional when the decimal
-point falls in -4 < decpt <= 16, a whole number ending in ``.0``,
-otherwise ``d[.ddd]e±XX`` with at least two exponent digits.  The text
-is built as three little-endian 64-bit words per value in one pass per
-word: the digits, looked up four at a time, are cut after the shown
-ones, those after the point move up a byte for it, the prefix's bytes
-shift them all up and the suffix follows.
+the estimate one high.  Powers of two above the smallest normal, whose
+interval is shorter below the value, have a search of their own.  The
+few lanes left, where an end or the value may be an integer where that
+matters and subnormals, are written by ``repr`` itself after the pass;
+an export's values reach none of them.  A one-digit result is allowed,
+as in Python (``5e-324``).  The layout is ``repr``'s: positional when
+the decimal point falls in -4 < decpt <= 16, a whole number ending in
+``.0``, otherwise ``d[.ddd]e±XX`` with at least two exponent digits.
+The text is built as three little-endian 64-bit words per value in one
+pass per word: the digits, looked up four at a time, are cut after the
+shown ones, those after the point move up a byte for it, the prefix's
+bytes shift them all up and the suffix follows.
 """
 
 from __future__ import annotations
@@ -47,16 +48,12 @@ def _cache():
     return np.array(words, np.uint64).T.copy()
 
 
-def _words(texts):
-    """Strings of up to 8 bytes, NUL-padded, as one little-endian uint64 each."""
-    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), "<u8")
+def _words(texts, width=8):
+    """Strings of up to ``width`` bytes, NUL-padded to it, as little-endian uint64s."""
+    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), "<u8")
 
 
 _HI, _LO = _cache()
-_POW5 = 5 ** np.arange(28, dtype=np.uint64)
-#: ``2c`` plus these is ``2c + 1`` and ``2c - 1``.
-_ENDS = np.array([[1], [2**64 - 1]], np.uint64)
-_POW10 = 10 ** np.arange(18, dtype=np.uint64)
 #: Sign and leading "0." with 0-3 zeros, indexed ``2 * (zeros + 1) + neg``,
 #: or ``neg`` alone for the sign without a leading "0.".
 _PREFIXES = _words([s + z for z in ("", "0.", "0.0", "0.00", "0.000") for s in ("", "-")])
@@ -103,26 +100,12 @@ def _mul(u, hi, lo):
     return top, mid
 
 
-def _less(top, mid, low, hi, lo, shift):
-    """The top word of ``top 2^128 + mid 2^64 + low - (hi 2^64 + lo) 2^shift``,
-    for ``0 < shift < 64``."""
-    below = hi << shift | lo >> 64 - shift
-    borrow = (mid < below) | (mid == below) & (low < lo << shift)
-    return top - (hi >> 64 - shift) - borrow
-
-
-def _integral(m, q, k):
-    """Whether each ``m 2^(q-1) 10^k`` is an integer, for ``0 < m < 2^54``."""
-    twos = np.maximum(1 - q - k, 0).view(np.uint64)  # a shift by 64 or more gives 0
-    fives = np.take(_POW5, np.minimum(np.maximum(-k, 0), len(_POW5) - 1))
-    return (m & (np.uint64(1) << twos) - 1 == 0) & (m % fives == 0)
-
-
 def _decimal(bits):
-    """``(f, e)`` with ``f 10^e`` the shortest decimal that reads back as
-    each finite float64 magnitude whose bits are given, the closest such
-    decimal, ties to an even ``f``; ``f`` has 16 or 17 digits, the last
-    ones may be zeros, and zero is ``0 10^-15``.
+    """``(f, e, rare)``: ``f 10^e`` is the shortest decimal that reads back
+    as each finite float64 magnitude whose bits are given, the closest such
+    decimal, ties to an even ``f``, but on the lanes that ``rare`` indexes,
+    whose ``f`` and ``e`` are only in range; ``f`` has 16 or 17 digits, the
+    last ones may be zeros, and zero is ``0 10^-15``.
 
     Dragonbox's search: ``z`` is the interval's upper end ``Z`` scaled by
     ``10^k`` and floored, ``delta`` its width, so the multiple of 1000 just
@@ -164,89 +147,58 @@ def _decimal(bits):
     # a tie at an edge, a power of two or a subnormal.
     rare = np.flatnonzero((r == 0) & (mid == 0) | (t < 2) & (edge | tie) | tie & edge
                           | (fraction == 0) ^ (be == 0))
-    if rare.size:
-        f[rare], e[rare] = _rare(*(a[rare] for a in (be, c, q, k, beta, hi, lo, z, mid, delta)))
-    return f, e
+    if rare.size:  # powers of two above the smallest normal have their own search
+        two = (fraction[rare] == 0) & (be[rare] > 1)
+        short, rare = rare[two], rare[~two]
+        f[short], e[short] = _power_of_two(q[short].astype(np.int64))
+    return f, e, rare
 
 
-def _rare(be, c, q, k, beta, hi, lo, z, mid, delta):
-    """Dragonbox's fixups of ``_decimal`` on a few lanes, from the top words
-    ``z`` and ``mid`` of the upper end's product, with exact tests of which
-    scaled interval ends and values are integers."""
-    be, q, k = (a.astype(np.int64) for a in (be, q, k))
-    s = z // 1000
-    r = z - s * 1000
-    closed = (c & 1) == 0  # an odd significand's interval excludes its ends
-    # The ends Z and X, scaled, are integers only for q >= -2.
-    z_int = x_int = np.zeros(len(c), bool)
-    if (q >= -2).any():
-        z_int, x_int = _integral((c << 1) + _ENDS, q, k)
-        out = (r == 0) & ~closed & z_int  # z is the excluded upper end: step below it
-        s -= out
-        r += out * np.uint64(1000)
-    # The floors of X and Y: Z's product less phi 2^(beta + 1) and phi 2^beta.
-    x, y = _less(z, mid, ((c << 1 | 1) << beta) * lo, hi, lo, np.stack([beta + np.uint64(1), beta]))
-    # The multiple of 1000 is inside when X is below it, or on it and included.
-    inside = (r < delta) | (r == delta) & ((x & 1 == 1) | closed & x_int)
-    dist = r - (delta >> 1) + 50
-    dq = dist // 100
-    f = s * 10 + dq * ~inside
-    # A distance divisible by 100: the estimate is one high when Y's parity
-    # says so, and Y exactly halfway goes to the even f.
-    tie = ~inside & (dist == dq * 100)
-    wrong = tie & ((y ^ dist ^ 50) & 1 == 1)
-    f -= wrong
-    half = tie & ~wrong & (f & 1 == 1)
-    if half.any():
-        f -= half & _integral(c << 1, q, k)
-    e = 2 - k
-    short = np.flatnonzero((c == 2**52) & (be > 1))
-    if short.size:  # a power of two: the gap below is half the gap above
-        q = q[short]
-        k = -((q * 631_305 - 261_663) >> 21)  # -floor(q log10 2 - log10(4/3))
-        beta = (q + (k * 1_741_647 >> 19)).view(np.uint64)  # in [0, 3]
-        hi = np.take(_HI, k - _K_MIN)
-        xi = (hi - (hi >> 54) >> 11 - beta) + ((q < 2) | (q > 3))
-        zi = hi + (hi >> 53) >> 11 - beta
-        y = (hi >> 10 - beta) + 1 >> 1
-        tie = (q == -77) & (y & 1 == 1)
-        y -= tie
-        y += ~tie & (y < xi)
-        ten = zi // 10 * 10
-        f[short] = y + (ten - y) * (ten >= xi)
-        e[short] = -k
-    tiny = np.flatnonzero(be == 0)
-    if tiny.size:  # a subnormal's f has fewer digits: pad it to 16
-        scale = np.maximum(16 - np.searchsorted(_POW10, f[tiny], "right"), 0)
-        f[tiny] *= np.take(_POW10, scale)
-        e[tiny] -= scale
-    return f, e
+def _power_of_two(q):
+    """``(f, e)`` for the powers of two ``2^52 2^q`` above the smallest
+    normal, whose gap below is half the gap above."""
+    k = -((q * 631_305 - 261_663) >> 21)  # -floor(q log10 2 - log10(4/3))
+    beta = (q + (k * 1_741_647 >> 19)).view(np.uint64)  # in [0, 3]
+    hi = np.take(_HI, k - _K_MIN)
+    xi = (hi - (hi >> 54) >> 11 - beta) + ((q < 2) | (q > 3))
+    zi = hi + (hi >> 53) >> 11 - beta
+    y = (hi >> 10 - beta) + 1 >> 1
+    tie = (q == -77) & (y & 1 == 1)
+    y -= tie
+    y += ~tie & (y < xi)
+    ten = zi // 10 * 10
+    return y + (ten - y) * (ten >= xi), -k
 
 
 def _spell_words(x, out):
     """Write ``repr`` of each finite float64 value as the three words of its
-    ``out`` row."""
-    f, e = _decimal(x.view(np.uint64))
+    ``out`` row, but for the rare lanes, whose indices it returns."""
+    f, e, rare = _decimal(x.view(np.uint64))
     sixteen = f < 10**16
     f *= np.uint64(1) + np.uint64(9) * sixteen  # 17 digits, "0.0" for zero
     decpt = e.astype(np.int16) + 17 - sixteen  # digits before the point
+    del e, sixteen
     # Digits 1-8 and 9-17 as 32-bit halves, then 1-16 in four 4-digit
     # groups, looked up at once as two words.
     halves = np.empty((2, len(f)), np.uint32)
     halves[0] = f // 10**9
     halves[1] = f - halves[0] * np.uint64(10**9)
+    del f
     rest = halves[1] // 10
     last = halves[1] - rest * np.uint32(10)
     halves[1] = rest
-    groups = np.empty((2, len(f), 2), np.intp)
+    groups = np.empty((2, len(x), 2), np.intp)
     groups[..., 0] = rest = halves // 10**4
     np.subtract(halves, rest * np.uint32(10**4), out=groups[..., 1])
+    del halves, rest
     digits = np.take(_DIGITS, groups).view(np.uint64).reshape(2, -1)
+    del groups
     # Significant digits: up to the last nonzero byte of the digits xor "0",
     # read from the exponent of both words as one float.
     both = (digits ^ _ZEROS).astype(np.float64)
     both[0] += both[1] * 2.0**64
     sig = both[0].view(np.int16)[3::4] - (1015 << 4) >> 7
+    del both
     np.maximum(sig, (last > 0) * np.int16(17), out=sig)
     positional = (decpt > -4) & (decpt <= 16)
     whole = positional & (decpt > 0)
@@ -261,6 +213,7 @@ def _spell_words(x, out):
     # after the point, and d + 255 h moves them up a byte to make room for it.
     d0, d1 = digits
     d2 = (last + (shown > 16) * np.uint32(48) << dot * np.uint32(8)).astype(np.uint64)
+    del last
     shown = shown.astype(np.intp)
     d0 &= np.take(_LOW[0], shown)
     d1 &= np.take(_LOW[1], shown)
@@ -288,6 +241,7 @@ def _spell_words(x, out):
     np.bitwise_or(d0, suffix << at, out=out[:, 0])
     np.bitwise_or(d1, suffix << at - 64 | suffix >> 64 - at, out=out[:, 1])
     np.bitwise_or(d2, suffix << at - 128 | suffix >> 128 - at, out=out[:, 2])
+    return rare
 
 
 def spell(values: np.ndarray, nan: str = "nan", inf: str = "inf",
@@ -302,8 +256,10 @@ def spell(values: np.ndarray, nan: str = "nan", inf: str = "inf",
         out = np.empty((len(x), WIDTH), np.uint8)
     words = out.view("<u8")
     for i in range(0, len(x), BLOCK_LEN):
-        _spell_words(x[i:i + BLOCK_LEN], words[i:i + BLOCK_LEN])
+        rare = i + _spell_words(x[i:i + BLOCK_LEN], words[i:i + BLOCK_LEN])
+        if rare.size:
+            words[rare] = _words(map(repr, x[rare].tolist()), WIDTH).reshape(-1, 3)
     if not np.isfinite(x).all():
         for mask, word in ((np.isnan(x), nan), (x == np.inf, inf), (x == -np.inf, "-" + inf)):
-            out[mask] = np.frombuffer(word.encode().ljust(WIDTH, b"\0"), np.uint8)
+            words[mask] = _words([word], WIDTH)
     return out

@@ -262,7 +262,7 @@ def default_captures(tmp_path_factory):
 
 
 #: Traced peak of a one-worker estimate of 256 default snapshots, in MiB,
-#: measured with numpy 2.4.
+#: measured with numpy 2.4 while the capture read held the file twice.
 PEAK_256_MIB = {"pdp": 4.67, "cir": 5.00, "response": 4.31}
 
 
@@ -270,9 +270,9 @@ PEAK_256_MIB = {"pdp": 4.67, "cir": 5.00, "response": 4.31}
 def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
                                                         default_captures, kind):
     # Each block of 8 snapshots is estimated, spelled and written before the
-    # next is made, so from 256 to 1024 snapshots the traced peak grows by
-    # at most 1.25 x the capture read twice (file bytes and payload), 8 KiB
-    # per snapshot.
+    # next is made, so from 256 to 1024 snapshots the traced peak grows only
+    # by the capture read, 4 KiB per snapshot; the bound, 1.25 x 8 KiB, was
+    # set while the read held the file twice.
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
     args = ["--kind", kind, "--out", os.devnull]
     assert cli.main(["estimate", str(default_captures[256]), *args]) == 0  # fills the caches
@@ -292,8 +292,9 @@ def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
 
 def test_calibrate_memory_grows_only_by_the_capture_read(default_captures, tmp_path):
     # calibrate adds one block of 8 snapshots at a time into its average, so
-    # from 256 to 1024 snapshots the traced peak grows by at most 1.25 x the
-    # capture read twice (file bytes and payload), 8 KiB per snapshot.
+    # from 256 to 1024 snapshots the traced peak grows only by the capture
+    # read, 4 KiB per snapshot; the bound, 1.25 x 8 KiB, was set while the
+    # read held the file twice.
     out = str(tmp_path / "calibration.json")
     assert cli.main(["calibrate", str(default_captures[256]), "--out", out]) == 0  # fills caches
     peaks = []

@@ -2,13 +2,15 @@
 
 ``floattext._decimal`` decides Dragonbox's edge cases in its main path
 where the words of one product settle them: a remainder equal to the
-interval's width (is the lower end below the candidate?) and a distance
-divisible by 100 (is the estimate one high?), and zero.  It recomputes a
-few lanes exactly: the scaled upper end of an interval that excludes it,
-an end or value that may be an integer (the tie to even), the shorter
-interval below a power of two, and subnormals, whose digits are padded.
-Random bit patterns reach these lanes only by chance; each has named
-inputs here, checked against ``repr``, alone and among ordinary values.
+interval's width (is the lower end below the candidate?), a distance
+divisible by 100 (is the estimate one high?), and zero.  Powers of two
+above the smallest normal, whose gap below is half the gap above, have
+their own vectorized search.  It flags the rest as rare lanes, which
+``spell`` writes as ``repr`` spells them after each pass: an end or a
+value that may be an integer where that matters, a tie at an edge, and
+subnormals.  Random bit patterns reach these cases only by chance; each
+has named inputs here, checked against ``repr`` alone, among ordinary
+values, at the edges of a pass and filling a whole pass.
 """
 
 import numpy as np
@@ -81,3 +83,44 @@ def test_spelling_into_a_field_matches_the_standalone_rows(length, special):
     assert floattext.spell(values, *special, out=field) is field
     assert field.tobytes() == floattext.spell(values, *special).tobytes()
     assert (matrix[:, :5] == 0xA5).all() and (matrix[:, 5 + floattext.WIDTH:] == 0xA5).all()
+
+
+def _rare_lanes(values):
+    """The lanes that ``floattext`` leaves to ``repr``."""
+    return floattext._decimal(np.asarray(values).view(np.uint64))[2]
+
+
+def _assert_both_spellings_match_repr(values):
+    """Standalone and into an unaligned field, each row is ``repr`` of its value."""
+    expected = [repr(v).encode() for v in values.tolist()]
+    field = np.zeros((len(values), 31), np.uint8)[:, 5:5 + floattext.WIDTH]
+    for rows in (floattext.spell(values), floattext.spell(values, out=field)):
+        assert [row.tobytes().rstrip(b"\0") for row in rows] == expected
+
+
+def test_rare_lanes_at_the_edges_of_a_pass_match_repr():
+    # Rare values at the first and last lane of the first pass and at the
+    # first lane of the second: each is written into its own row, counted
+    # from the start of the whole array, not of its pass.
+    rng = np.random.default_rng(3002)
+    length = floattext.BLOCK_LEN + 1
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-12, 12, length)
+    edges = [0, floattext.BLOCK_LEN - 1, floattext.BLOCK_LEN]
+    values[edges] = [5e-324, -3.8537782149011656e16, 1483039052054336.2]
+    assert set(_rare_lanes(values[:floattext.BLOCK_LEN])) == {0, floattext.BLOCK_LEN - 1}
+    assert list(_rare_lanes(values[floattext.BLOCK_LEN:])) == [0]
+    _assert_both_spellings_match_repr(values)
+
+
+def test_a_pass_of_rare_lanes_only_matches_repr():
+    # Half subnormals, half integers between 2^53 and 2^56 whose scaled
+    # interval ends may be integers, of both signs: every lane of the pass
+    # is rare.
+    rng = np.random.default_rng(3003)
+    half = floattext.BLOCK_LEN // 2
+    tiny = rng.integers(1, 2**52, half, dtype=np.uint64).view(np.float64)
+    whole = rng.uniform(2.0**53, 2.0**56, 8 * half)
+    whole = whole[_rare_lanes(whole)][:half]
+    values = np.concatenate([tiny, whole]) * rng.choice([-1.0, 1.0], 2 * half)
+    assert len(_rare_lanes(values)) == floattext.BLOCK_LEN
+    _assert_both_spellings_match_repr(values)

@@ -69,6 +69,28 @@ def test_float_text_pass_stays_within_its_memory_budget():
     assert peak <= 2.3 * 2**20
 
 
+def test_default_export_sends_no_lane_to_repr(monkeypatch, tmp_path):
+    # floattext spells each rare lane with one repr call, about 6 x the
+    # vectorized cost of a lane (25 x for a subnormal); an export's values
+    # and axes must not reach them, or it silently slows down.
+    from soundersim import campaign, cli, floattext
+    from soundersim.channel import ChannelModel
+    from soundersim.config import SounderConfig
+    calls = []
+    monkeypatch.setattr(floattext, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)  # no forked share
+    model = ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02, seed=3)
+    capture = campaign.run_campaign(SounderConfig(num_snapshots=8), model,
+                                    created="2026-03-01T12:00:00+00:00")
+    path = tmp_path / "run.capture"
+    campaign.write_capture(path, capture)
+    for kind in ("pdp", "cir", "response"):
+        out = tmp_path / f"{kind}.csv"
+        assert cli.main(["estimate", str(path), "--kind", kind, "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+    assert calls == []
+
+
 def test_campaign_binds_no_oracle():
     # Tests and bench/ check run_campaign against these oracles; the
     # comparison only means something while the campaign calls none of them.
