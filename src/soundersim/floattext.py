@@ -8,18 +8,17 @@ remainder modulo 1000 against the interval's width picks the shortest
 candidate.  The words of that product also settle, on every lane, the
 edges Dragonbox tests with a second product: whether the lower end is
 below a candidate on it, and whether a distance divisible by 100 puts
-the estimate one high.  Powers of two above the smallest normal, whose
-interval is shorter below the value, have a search of their own.  The
-few lanes left, where an end or the value may be an integer where that
-matters and subnormals, are written by ``repr`` itself after the pass;
-an export's values reach none of them.  A one-digit result is allowed,
-as in Python (``5e-324``).  The layout is ``repr``'s: positional when
-the decimal point falls in -4 < decpt <= 16, a whole number ending in
-``.0``, otherwise ``d[.ddd]e±XX`` with at least two exponent digits.
-The text is built as three little-endian 64-bit words per value in one
-pass per word: the digits, looked up four at a time, are cut after the
-shown ones, those after the point move up a byte for it, the prefix's
-bytes shift them all up and the suffix follows.
+the estimate one high.  The few lanes left, where an end or the value
+may be an integer where that matters, powers of two, whose interval is
+shorter below the value, and subnormals, are written by ``repr`` itself
+after the pass; a noisy export's values reach none of them.  A one-digit
+result is allowed, as in Python (``5e-324``).  The layout is
+``repr``'s: positional when the decimal point falls in -4 < decpt <= 16,
+a whole number ending in ``.0``, otherwise ``d[.ddd]e±XX`` with at least
+two exponent digits.  The text is built as three little-endian 64-bit
+words per value in one pass per word: the digits, looked up four at a
+time, are cut after the shown ones, those after the point move up a byte
+for it, the prefix's bytes shift them all up and the suffix follows.
 """
 
 from __future__ import annotations
@@ -147,27 +146,7 @@ def _decimal(bits):
     # a tie at an edge, a power of two or a subnormal.
     rare = np.flatnonzero((r == 0) & (mid == 0) | (t < 2) & (edge | tie) | tie & edge
                           | (fraction == 0) ^ (be == 0))
-    if rare.size:  # powers of two above the smallest normal have their own search
-        two = (fraction[rare] == 0) & (be[rare] > 1)
-        short, rare = rare[two], rare[~two]
-        f[short], e[short] = _power_of_two(q[short].astype(np.int64))
     return f, e, rare
-
-
-def _power_of_two(q):
-    """``(f, e)`` for the powers of two ``2^52 2^q`` above the smallest
-    normal, whose gap below is half the gap above."""
-    k = -((q * 631_305 - 261_663) >> 21)  # -floor(q log10 2 - log10(4/3))
-    beta = (q + (k * 1_741_647 >> 19)).view(np.uint64)  # in [0, 3]
-    hi = np.take(_HI, k - _K_MIN)
-    xi = (hi - (hi >> 54) >> 11 - beta) + ((q < 2) | (q > 3))
-    zi = hi + (hi >> 53) >> 11 - beta
-    y = (hi >> 10 - beta) + 1 >> 1
-    tie = (q == -77) & (y & 1 == 1)
-    y -= tie
-    y += ~tie & (y < xi)
-    ten = zi // 10 * 10
-    return y + (ten - y) * (ten >= xi), -k
 
 
 def _spell_words(x, out):
@@ -177,28 +156,23 @@ def _spell_words(x, out):
     sixteen = f < 10**16
     f *= np.uint64(1) + np.uint64(9) * sixteen  # 17 digits, "0.0" for zero
     decpt = e.astype(np.int16) + 17 - sixteen  # digits before the point
-    del e, sixteen
     # Digits 1-8 and 9-17 as 32-bit halves, then 1-16 in four 4-digit
     # groups, looked up at once as two words.
     halves = np.empty((2, len(f)), np.uint32)
     halves[0] = f // 10**9
     halves[1] = f - halves[0] * np.uint64(10**9)
-    del f
     rest = halves[1] // 10
     last = halves[1] - rest * np.uint32(10)
     halves[1] = rest
-    groups = np.empty((2, len(x), 2), np.intp)
+    groups = np.empty((2, len(f), 2), np.intp)
     groups[..., 0] = rest = halves // 10**4
     np.subtract(halves, rest * np.uint32(10**4), out=groups[..., 1])
-    del halves, rest
     digits = np.take(_DIGITS, groups).view(np.uint64).reshape(2, -1)
-    del groups
     # Significant digits: up to the last nonzero byte of the digits xor "0",
     # read from the exponent of both words as one float.
     both = (digits ^ _ZEROS).astype(np.float64)
     both[0] += both[1] * 2.0**64
     sig = both[0].view(np.int16)[3::4] - (1015 << 4) >> 7
-    del both
     np.maximum(sig, (last > 0) * np.int16(17), out=sig)
     positional = (decpt > -4) & (decpt <= 16)
     whole = positional & (decpt > 0)
@@ -213,7 +187,6 @@ def _spell_words(x, out):
     # after the point, and d + 255 h moves them up a byte to make room for it.
     d0, d1 = digits
     d2 = (last + (shown > 16) * np.uint32(48) << dot * np.uint32(8)).astype(np.uint64)
-    del last
     shown = shown.astype(np.intp)
     d0 &= np.take(_LOW[0], shown)
     d1 &= np.take(_LOW[1], shown)

@@ -262,8 +262,8 @@ def default_captures(tmp_path_factory):
 
 
 #: Traced peak of a one-worker estimate of 256 default snapshots, in MiB,
-#: measured with numpy 2.4 while the capture read held the file twice.
-PEAK_256_MIB = {"pdp": 4.67, "cir": 5.00, "response": 4.31}
+#: measured with numpy 2.4.
+PEAK_256_MIB = {"pdp": 3.38, "cir": 3.70, "response": 3.26}
 
 
 @pytest.mark.parametrize("kind", sorted(PEAK_256_MIB))
@@ -271,8 +271,7 @@ def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
                                                         default_captures, kind):
     # Each block of 8 snapshots is estimated, spelled and written before the
     # next is made, so from 256 to 1024 snapshots the traced peak grows only
-    # by the capture read, 4 KiB per snapshot; the bound, 1.25 x 8 KiB, was
-    # set while the read held the file twice.
+    # by the capture read, 4 KiB per snapshot.
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
     args = ["--kind", kind, "--out", os.devnull]
     assert cli.main(["estimate", str(default_captures[256]), *args]) == 0  # fills the caches
@@ -286,15 +285,14 @@ def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
             tracemalloc.stop()
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["rows"] == (
         1024 * (SounderConfig().zc.length if kind == "response" else 1024))
-    assert peaks[1] - peaks[0] <= 1.25 * 768 * 8 * 1024
+    assert peaks[1] - peaks[0] <= 1.25 * 768 * 4 * 1024
     assert peaks[0] <= 1.25 * PEAK_256_MIB[kind] * 2**20
 
 
 def test_calibrate_memory_grows_only_by_the_capture_read(default_captures, tmp_path):
     # calibrate adds one block of 8 snapshots at a time into its average, so
     # from 256 to 1024 snapshots the traced peak grows only by the capture
-    # read, 4 KiB per snapshot; the bound, 1.25 x 8 KiB, was set while the
-    # read held the file twice.
+    # read, 4 KiB per snapshot.
     out = str(tmp_path / "calibration.json")
     assert cli.main(["calibrate", str(default_captures[256]), "--out", out]) == 0  # fills caches
     peaks = []
@@ -305,4 +303,4 @@ def test_calibrate_memory_grows_only_by_the_capture_read(default_captures, tmp_p
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 1.25 * 768 * 8 * 1024
+    assert peaks[1] - peaks[0] <= 1.25 * 768 * 4 * 1024

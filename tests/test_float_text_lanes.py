@@ -3,12 +3,11 @@
 ``floattext._decimal`` decides Dragonbox's edge cases in its main path
 where the words of one product settle them: a remainder equal to the
 interval's width (is the lower end below the candidate?), a distance
-divisible by 100 (is the estimate one high?), and zero.  Powers of two
-above the smallest normal, whose gap below is half the gap above, have
-their own vectorized search.  It flags the rest as rare lanes, which
-``spell`` writes as ``repr`` spells them after each pass: an end or a
-value that may be an integer where that matters, a tie at an edge, and
-subnormals.  Random bit patterns reach these cases only by chance; each
+divisible by 100 (is the estimate one high?), and zero.  It flags the
+rest as rare lanes, which ``spell`` writes as ``repr`` spells them after
+each pass: an end or a value that may be an integer where that matters,
+a tie at an edge, powers of two, whose gap below is half the gap above,
+and subnormals.  Random bit patterns reach these cases only by chance; each
 has named inputs here, checked against ``repr`` alone, among ordinary
 values, at the edges of a pass and filling a whole pass.
 """

@@ -72,22 +72,29 @@ def test_float_text_pass_stays_within_its_memory_budget():
 def test_default_export_sends_no_lane_to_repr(monkeypatch, tmp_path):
     # floattext spells each rare lane with one repr call, about 6 x the
     # vectorized cost of a lane (25 x for a subnormal); an export's values
-    # and axes must not reach them, or it silently slows down.
+    # and axes, raw or calibrated by a noisy back-to-back capture, must not
+    # reach them, or it silently slows down.
     from soundersim import campaign, cli, floattext
     from soundersim.channel import ChannelModel
     from soundersim.config import SounderConfig
     calls = []
     monkeypatch.setattr(floattext, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)  # no forked share
-    model = ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02, seed=3)
-    capture = campaign.run_campaign(SounderConfig(num_snapshots=8), model,
-                                    created="2026-03-01T12:00:00+00:00")
-    path = tmp_path / "run.capture"
-    campaign.write_capture(path, capture)
+    paths = {}
+    for name, taps in (("run", ((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j))), ("b2b", ((0, 1.0),))):
+        capture = campaign.run_campaign(SounderConfig(num_snapshots=8),
+                                        ChannelModel(taps=taps, noise_std=0.02, seed=3),
+                                        created="2026-03-01T12:00:00+00:00")
+        paths[name] = tmp_path / f"{name}.capture"
+        campaign.write_capture(paths[name], capture)
+    calibration = str(tmp_path / "calibration.json")
+    assert cli.main(["calibrate", str(paths["b2b"]), "--out", calibration]) == 0
     for kind in ("pdp", "cir", "response"):
-        out = tmp_path / f"{kind}.csv"
-        assert cli.main(["estimate", str(path), "--kind", kind, "--out", str(out)]) == 0
-        assert out.stat().st_size > 0
+        for extra in ([], ["--calibration", calibration]):
+            out = tmp_path / f"{kind}.csv"
+            assert cli.main(["estimate", str(paths["run"]), "--kind", kind,
+                             "--out", str(out), *extra]) == 0
+            assert out.stat().st_size > 0
     assert calls == []
 
 
