@@ -18,10 +18,11 @@ header's saturation count covers exactly those.  Inside the repetition
 train the segment repeats the symbol, so wherever every tap reads the
 train the noiseless tap sum repeats every ``signal_len`` samples.
 :func:`tap_sum` convolves one such period and the two edges around it
-(echoes of the zero fill before the train; the train's end and the
-convolution tail after it), bit-identical to convolving the whole
-segment; neither the segment nor the frame is built, and an empty edge
-is neither gathered nor convolved.
+(echoes of the zero fill before the train; the convolution tail after
+it, as the train check keeps the train's end out of every earlier
+output), bit-identical to convolving the whole segment; neither the
+segment nor the frame is built, and an empty edge is neither gathered
+nor convolved.
 
 Only the noise and interferer phases differ between snapshots, so the
 tap sum is computed once per campaign, for static and noisy channels
@@ -172,22 +173,22 @@ def _usable_cores() -> int:
 
 
 class TapSum(NamedTuple):
-    """A tap sum in pieces: ``head`` up to ``start``, then ``period``
-    repeated from its first sample up to ``stop``, then ``tail``."""
+    """A tap sum in pieces: ``head`` up to ``start``, then ``period`` repeated
+    from its first sample, then ``tail``, the last ``len(tail)`` outputs."""
 
     head: np.ndarray
     period: np.ndarray
     start: int
-    stop: int
     tail: np.ndarray
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the whole tap sum into ``out``, of any dtype, and return it."""
-        whole, rest = divmod(self.stop - self.start, len(self.period))
+        stop = len(out) - len(self.tail)
+        whole, rest = divmod(stop - self.start, len(self.period))
         out[: self.start] = self.head
-        out[self.start : self.stop - rest].reshape(whole, len(self.period))[:] = self.period
-        out[self.stop - rest : self.stop] = self.period[:rest]
-        out[self.stop :] = self.tail
+        out[self.start : stop - rest].reshape(whole, len(self.period))[:] = self.period
+        out[stop - rest : stop] = self.period[:rest]
+        out[stop:] = self.tail
         return out
 
 
@@ -199,15 +200,13 @@ def tap_sum(wf: SoundingWaveform, cfg: SounderConfig, model: ChannelModel,
     ``offset`` is the receiver offset, in ``[0, frame_len)``.  Each
     output gets the same arithmetic as over the whole gathered segment,
     bit for bit, from only the samples it reads.  If :func:`validate_config`
-    passes, the averaging window lies in ``[start, stop)``.
+    passes, outputs from ``start`` up to the last ``max_delay`` read the train.
     """
     tail = model.max_delay
     seg_len = tail + cfg.averager_config().window_len
-    # The train starts at segment index t0, with the offset read as a signed
-    # lag as validate_config reads it; outputs in [start, stop) read it alone.
-    t0 = tail + offset - (cfg.frame_len if 2 * offset > cfg.frame_len else 0)
-    start = max(t0, 0) + tail
-    stop = min(t0 + cfg.train_repetitions * cfg.signal_len + model.first_arrival, seg_len)
+    # The train starts at segment index tail + lag, the offset read as a signed
+    # lag as validate_config reads it; outputs from start to seg_len read it alone.
+    start = max(tail + offset - (cfg.frame_len if 2 * offset > cfg.frame_len else 0), 0) + tail
 
     def outputs(lo: int, hi: int) -> np.ndarray:
         """Outputs ``lo`` to ``hi - 1``, from the segment samples they read."""
@@ -218,7 +217,7 @@ def tap_sum(wf: SoundingWaveform, cfg: SounderConfig, model: ChannelModel,
         return convolve_taps(piece, model)[lo - first : hi - first]
 
     lead = outputs(0, start + cfg.signal_len)
-    return TapSum(lead[:start], lead[start:], start, stop, outputs(stop, seg_len + tail))
+    return TapSum(lead[:start], lead[start:], start, outputs(seg_len, seg_len + tail))
 
 
 def run_campaign(
@@ -269,11 +268,11 @@ def run_campaign(
     if model.noise_std == 0 and not model.interferers:
         # A static channel adds nothing that depends on the snapshot index:
         # every row is snapshot 0, laid out and averaged as a noisy worker's.
-        whole, rest = divmod(taps.stop - taps.start, cfg.signal_len)
+        whole, rest = divmod(tail + window_len - taps.start, cfg.signal_len)
         (head, h), (period, p), (end, t), (_, r) = (
             quantize_clipped(piece) if len(piece) else (np.empty(0, SAMPLE_DTYPE), 0)
             for piece in (taps.head, taps.period, taps.tail, taps.period[:rest]))
-        words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
+        words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start,
                        end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
         first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)

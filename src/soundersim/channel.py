@@ -143,21 +143,21 @@ class ChannelResult(NamedTuple):
 def convolve_taps(tx: np.ndarray, model: ChannelModel) -> np.ndarray:
     """The tapped delay line's output: the part that depends only on ``tx``.
 
-    Each output sample sums its echoes in tap order.
+    Each output sample sums its echoes in tap order, ``tx`` converted to
+    float once.  No block loop: those remain in the noise and tone scratch,
+    the export's rows and the float formatter's passes.
 
     Returns:
         complex128 array of ``len(tx) + model.max_delay`` samples: the
         full convolution tail is kept so no echo is dropped.
     """
     out = np.zeros(len(tx) + model.max_delay, dtype=np.complex128)
-    echo = np.empty(min(len(tx), BLOCK_LEN), dtype=np.complex128)
+    tx_float = fixedpoint.to_float(tx)
+    echo = np.empty_like(tx_float)
     for delay, gain in model.taps:
-        for lo in range(0, len(tx), BLOCK_LEN):
-            tx_float = fixedpoint.to_float(tx[lo : lo + BLOCK_LEN])
-            # Not in place: numpy's in-place complex product may take a
-            # vector loop that fuses the multiply-add and rounds apart.
-            product = np.multiply(gain, tx_float, out=echo[: len(tx_float)])
-            out[delay + lo : delay + lo + len(tx_float)] += product
+        # Not in place: numpy's in-place complex product may take a
+        # vector loop that fuses the multiply-add and rounds apart.
+        out[delay : delay + len(tx)] += np.multiply(gain, tx_float, out=echo)
     return out
 
 
@@ -202,7 +202,7 @@ def _row_tables(freq: float) -> tuple[np.ndarray, ...]:
 
 
 #: Doubles in each of the two rows of the scratch that the tone and noise
-#: loops work in: 64 tone rows, or 16 noise blocks of ``BLOCK_LEN`` draws.
+#: loops work in: 64 tone rows, or 8 × ``BLOCK_LEN`` noise draws over both rows.
 SCRATCH_LEN = 4 * BLOCK_LEN
 
 

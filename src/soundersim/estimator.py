@@ -203,7 +203,7 @@ class CalibrationProfile:
 
     Occupied reference bins with magnitude below ``threshold`` cannot
     be divided by; :func:`apply_calibration` zeroes them in the output
-    and drops them from its mask.
+    and drops them from its mask, and refuses a profile that keeps none.
     """
 
     reference: FrequencyResponse
@@ -221,6 +221,14 @@ class CalibrationProfile:
                 "calibration reference has %d occupied bins below %.3e",
                 weak, self.threshold,
             )
+
+    def usable(self) -> np.ndarray:
+        """Mask of the occupied reference bins at or above the threshold."""
+        good = self.reference.occupied_mask & ~(np.abs(self.reference.bins) < self.threshold)
+        if not good.any():  # every calibrated bin would read zero
+            raise ConfigurationError(
+                f"no occupied calibration reference bin reaches {self.threshold:.3e}")
+        return good
 
 
 def build_calibration(
@@ -243,7 +251,9 @@ def build_calibration(
     if not count:
         raise ConfigurationError("need at least one response to calibrate")
     reference = FrequencyResponse(bins=total / count, occupied_mask=mask.copy())
-    return CalibrationProfile(reference=reference, threshold=threshold)
+    profile = CalibrationProfile(reference=reference, threshold=threshold)
+    profile.usable()  # raises for a profile that leaves no bin to divide by
+    return profile
 
 
 def apply_calibration(
@@ -253,17 +263,16 @@ def apply_calibration(
 
     Occupied bins where the reference is weaker than the profile
     threshold are zeroed and removed from the output mask; the profile
-    logged their count when it was built or loaded.
+    logged their count when it was built or loaded.  A profile that leaves
+    no bin raises :class:`ConfigurationError`.
     """
-    mask = response.occupied_mask
-    if not np.array_equal(mask, profile.reference.occupied_mask):
+    if not np.array_equal(response.occupied_mask, profile.reference.occupied_mask):
         raise ConfigurationError(
             "response and calibration profile have differing occupied masks"
         )
-    ref = profile.reference.bins
-    good = mask & ~(np.abs(ref) < profile.threshold)
+    good = profile.usable()
     bins = np.zeros_like(response.bins)
-    np.divide(response.bins, ref, out=bins, where=good)
+    np.divide(response.bins, profile.reference.bins, out=bins, where=good)
     return FrequencyResponse(bins=bins, occupied_mask=good)
 
 

@@ -37,12 +37,11 @@ FULL_SCALE = 32768.0
 #: Value of one least significant bit in float units.
 LSB = 1.0 / FULL_SCALE
 
-#: Samples per block where a long run of samples is processed piecewise,
-#: and also the rows per block of an export table and the values per pass
-#: of the float formatter.  Every sample, row and value gets the same
-#: arithmetic however the run is blocked; small blocks let the temporaries
-#: be reused instead of paged in afresh.  A noisy campaign's workers size
-#: their scratch from it and pass it in, so a snapshot is a few long passes.
+#: Block unit of the loops that still run in blocks: a noisy worker's noise
+#: and tone scratch is sized from it (``channel.SCRATCH_LEN``), and export
+#: tables and the float formatter take this many rows or values at a time.
+#: Every sample, row and value gets the same arithmetic however it is
+#: blocked.  Quantization and the tap convolution take their input whole.
 BLOCK_LEN = 8192
 
 
@@ -85,48 +84,36 @@ def quantize(values) -> np.ndarray:
     the int16 range.  Values with \\|component\\| <= 1 - 2**-15 never
     saturate.
     """
-    samples, _ = quantize_clipped(values)
-    return samples
+    return quantize_clipped(values)[0]
 
 
 def quantize_clipped(values) -> tuple[np.ndarray, int]:
     """Like :func:`quantize` but also count saturated components.
 
+    :func:`quantize_in_place` on a C-ordered copy, so ``values`` itself is
+    never written.  No block loop: those remain in the noise and tone
+    scratch, the export's rows and the float formatter's passes.
+
     Returns:
         ``(samples, clipped)`` where ``clipped`` is the number of I/Q
         components (not samples) whose rounded value lies outside
-        ``[INT_MIN, INT_MAX]`` and was saturated to that rail.  A block
-        whose extremes lie within the rails skips the count and the clip.
+        ``[INT_MIN, INT_MAX]`` and was saturated to that rail.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.array(values, dtype=np.complex128, order="C")
     out = np.empty(values.shape, dtype=SAMPLE_DTYPE)
-    # Both sides as interleaved components (I, Q, I, Q, ...): one pass
-    # per block over contiguous memory handles I and Q alike.
-    parts = np.ravel(values).view(np.float64)
-    words = out.reshape(-1).view("<i2")
-    raw = np.empty(min(parts.size, 2 * BLOCK_LEN))
-    clipped = 0
-    for lo in range(0, parts.size, 2 * BLOCK_LEN):
-        block = parts[lo : lo + 2 * BLOCK_LEN]
-        clipped += _round_and_saturate(block, raw[: len(block)], words[lo : lo + 2 * BLOCK_LEN])
-    return out, clipped
+    return out, quantize_in_place(values, out)
 
 
 def quantize_in_place(values: np.ndarray, out: np.ndarray) -> int:
     """:func:`quantize_clipped` of contiguous complex128 ``values`` into ``out``, of
-    ``SAMPLE_DTYPE``, using ``values`` as scratch: allocates nothing on a clean run."""
+    ``SAMPLE_DTYPE``, using ``values`` as scratch: allocates nothing on a clean run.
+    Components are counted and clipped only if one lies outside the rails."""
     parts = values.reshape(-1).view(np.float64)
-    return _round_and_saturate(parts, parts, out.reshape(-1).view("<i2"))
-
-
-def _round_and_saturate(parts: np.ndarray, scaled: np.ndarray, words: np.ndarray) -> int:
-    """The one rule: ``parts`` scaled, rounded and saturated into ``scaled`` (which
-    may be ``parts``), then into int16 ``words``.  Returns the saturated count."""
-    np.multiply(parts, FULL_SCALE, out=scaled)
-    np.rint(scaled, out=scaled)
+    np.multiply(parts, FULL_SCALE, out=parts)
+    np.rint(parts, out=parts)
     clipped = 0
-    if scaled.min() < INT_MIN or scaled.max() > INT_MAX:  # NaN fails both
-        clipped = int(np.count_nonzero(scaled < INT_MIN) + np.count_nonzero(scaled > INT_MAX))
-        np.clip(scaled, INT_MIN, INT_MAX, out=scaled)
-    words[...] = scaled
+    if parts.size and (parts.min() < INT_MIN or parts.max() > INT_MAX):  # NaN fails both
+        clipped = int(np.count_nonzero(parts < INT_MIN) + np.count_nonzero(parts > INT_MAX))
+        np.clip(parts, INT_MIN, INT_MAX, out=parts)
+    out.reshape(-1).view("<i2")[...] = parts
     return clipped

@@ -6,9 +6,9 @@ period.  If one second is an integer multiple of the repetition period,
 every PPS flank lands exactly on a frame boundary, so the two devices
 may start on *different* flanks and still observe the same alignment --
 no communication between them is needed.  A schedule enforces that
-property at construction; :func:`receiver_offset` turns it into the one
-number the simulator needs: how far into the transmit frame the
-receiver's first sample falls.
+property at construction; :func:`receiver_offset` turns the flanks, in
+samples, and the timing error into the one number the simulator needs:
+where in the transmit frame the receiver's first sample falls.
 """
 
 from __future__ import annotations
@@ -52,18 +52,16 @@ class PpsSchedule:
                 "capture would depend on the PPS flanks the devices start on"
             )
 
-    @property
-    def frame_len(self) -> int:
-        """Samples per repetition period."""
-        return frame_length(self.rep_period_s, self.sample_period_s, SchedulingError)
-
 
 def receiver_offset(schedule: PpsSchedule) -> int:
     """Position in the transmit frame of the receiver's first sample.
 
-    The receiver stream is ``frame[(n - offset) mod frame_len]``.  A
-    schedule is flank-independent by construction, so the flank
-    difference contributes a whole number of frames and only the timing
-    error survives the modulo.
+    The receiver stream is ``frame[(n - offset) mod frame_len]``.  The
+    receiver arms ``rx - tx`` flanks after the transmitter, and flanks are
+    ``R = 1 s / rep_period`` frames apart, so the offset is
+    ``(timing_error - (rx - tx)·R·frame_len) mod frame_len``.
     """
-    return schedule.timing_error % schedule.frame_len
+    frame_len = frame_length(schedule.rep_period_s, schedule.sample_period_s, SchedulingError)
+    flanks = int(schedule.rx_start_flank) - int(schedule.tx_start_flank)
+    late = flanks * exact_ratio(1.0, schedule.rep_period_s) * frame_len
+    return (int(schedule.timing_error) - late) % frame_len

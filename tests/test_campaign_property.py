@@ -291,20 +291,20 @@ def test_tap_sum_pieces_match_the_whole_segment_bit_for_bit(case):
     pieces = taps.fill(np.full_like(whole, np.nan))
     assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64))
     assert taps.start <= tail + acfg.discard_len
-    assert tail + acfg.window_len <= taps.stop
+    stop = tail + acfg.window_len  # the segment's end
     assert len(taps.period) == cfg.signal_len
     # The first and last max_delay outputs never see every tap, so an edge
     # can be empty only when max_delay is 0.
-    assert len(taps.head) >= tail and len(taps.tail) >= tail
+    assert len(taps.head) >= tail and len(taps.tail) == tail
     # A static campaign quantizes the pieces, not the whole: laid out in a
     # uint32 buffer they are the whole quantized, and the period's clips,
     # counted once per whole period, add up to the whole's.
     samples, clipped = quantize_clipped(whole)
     (head, h), (period, p), (end, t) = map(quantize_clipped, (taps.head, taps.period, taps.tail))
-    words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start, taps.stop,
+    words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start,
                    end.view(np.uint32)).fill(np.zeros(len(whole), np.uint32))
     assert np.array_equal(words, samples.view(np.uint32))
-    periods, rest = divmod(taps.stop - taps.start, len(taps.period))
+    periods, rest = divmod(stop - taps.start, len(taps.period))
     assert h + periods * p + quantize_clipped(taps.period[:rest])[1] + t == clipped
     # The static branch, which skips the empty pieces, keeps the row and count.
     schedule = PpsSchedule(rep_period_s=cfg.rep_period_s, sample_period_s=cfg.sample_period_s,
@@ -345,16 +345,26 @@ def test_tap_sum_interference_and_noise_match_one_pass_bit_for_bit(
 @given(
     shape=st.sampled_from([(), (1,), (5,), (3, 7), (20_000,), (3, 8193)]),
     strided=st.booleans(),
+    layout=st.sampled_from(["C", "F", "read-only"]),
     scale=st.sampled_from([0.5, 1.0, 1.5]),
     seed=st.integers(0, 2**32),
 )
-def test_quantize_clipped_matches_one_pass_bit_for_bit(shape, strided, scale, seed):
+@example(shape=(3, 7), strided=False, layout="F", scale=1.5, seed=0)
+@example(shape=(20_000,), strided=True, layout="read-only", scale=1.5, seed=0)
+def test_quantize_clipped_matches_one_pass_bit_for_bit(shape, strided, layout, scale, seed):
     rng = np.random.default_rng(seed)
     values = scale * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
     if strided and values.ndim:
         values = values[..., ::2]  # not contiguous
+    if layout == "F":
+        values = np.array(values, order="F")
+    elif layout == "read-only":  # as the cached symbol's time signal
+        values = np.asarray(values)
+        values.flags.writeable = False
+    before = values.copy()
     samples, clipped = quantize_clipped(values)
     expected, expected_clipped = _plain_quantize(values)
     assert samples.shape == values.shape
     assert np.array_equal(samples, expected)
     assert clipped == expected_clipped
+    assert np.array_equal(values, before)  # the caller's array is left as it was

@@ -374,7 +374,8 @@ def test_calibrate_rejects_threshold_outside_positive_finite(tmp_path, capsys,
     assert "threshold must be positive and finite" in err["error"]["message"]
 
 
-def _estimate_with_edited_profile(tmp_path, capsys, edit):
+def _estimate_with_edited_profile(tmp_path, capsys, edit,
+                                  message="malformed calibration profile"):
     """Calibrate from a fresh capture, rewrite the profile's JSON with
     ``edit`` and check that ``estimate`` rejects it with exit code 3."""
     path = _simulated_capture(tmp_path, capsys)
@@ -391,7 +392,7 @@ def _estimate_with_edited_profile(tmp_path, capsys, edit):
     assert captured.out == "" and not out.exists()
     err = json.loads(captured.err)
     assert err["error"]["category"] == "validation"
-    assert "malformed calibration profile" in err["error"]["message"]
+    assert message in err["error"]["message"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -431,6 +432,25 @@ def test_calibration_file_that_does_not_match_its_bins_exits_3(tmp_path, capsys,
     # were written out as NaN rows, one value was broadcast over every bin,
     # a repeated bin kept its last value and an unknown key was ignored.
     _estimate_with_edited_profile(tmp_path, capsys, edit)
+
+
+def test_calibrate_without_a_usable_bin_exits_3(tmp_path, capsys):
+    # A threshold above every reference bin would leave every calibrated
+    # bin at 0, and so a PDP that reads 0 dB at every delay.
+    path = _simulated_capture(tmp_path, capsys)
+    cal_path = tmp_path / "cal.json"
+    assert main(["calibrate", str(path), "--out", str(cal_path), "--threshold", "1e9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not cal_path.exists()
+    err = json.loads(captured.err.splitlines()[-1])
+    assert err["error"]["category"] == "validation"
+    assert "no occupied calibration reference bin" in err["error"]["message"]
+
+
+def test_estimate_with_a_profile_without_a_usable_bin_exits_3(tmp_path, capsys):
+    # Such a profile still loads, as files written before the check may hold one.
+    _estimate_with_edited_profile(tmp_path, capsys, lambda p: p.update(threshold=1e9),
+                                  "no occupied calibration reference bin")
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

@@ -16,8 +16,10 @@ def test_flank_independence_examples():
 
 
 def test_frame_len_default_config():
-    sched = PpsSchedule(rep_period_s=5e-3, sample_period_s=2e-9)
-    assert sched.frame_len == 2_500_000
+    # The offset wraps at the default config's 2.5 M-sample frame.
+    for error, offset in ((2_500_000, 0), (2_500_001, 1), (-1, 2_499_999)):
+        sched = PpsSchedule(rep_period_s=5e-3, sample_period_s=2e-9, timing_error=error)
+        assert receiver_offset(sched) == offset
 
 
 def test_offset_vanishes_for_any_flank_pair():
