@@ -63,6 +63,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import threading
 from dataclasses import dataclass
@@ -353,9 +354,22 @@ def _header_dict(capture: Capture) -> dict:
     }
 
 
+def _same_file(a, b) -> bool:
+    """Whether ``a`` and ``b`` both exist and are one file (symlinks and hard links too)."""
+    try:
+        return os.path.samefile(a, b)
+    except (OSError, TypeError):  # a missing file, or a map without a name
+        return False
+
+
 def write_capture(path, capture: Capture) -> None:
     """Write a capture file (see module docstring for the layout)."""
     header = json.dumps(_header_dict(capture), sort_keys=True).encode("utf-8")
+    mapped = capture.snapshots
+    while isinstance(mapped, np.ndarray) and not isinstance(mapped, np.memmap):
+        mapped = mapped.base  # attribute reads: no system call for a payload in memory
+    if isinstance(mapped, np.memmap) and _same_file(path, mapped.filename):
+        capture.snapshots = np.array(capture.snapshots)  # as truncating unmaps the file
     with open(path, "wb") as fh:
         fh.write(_PROLOGUE.pack(MAGIC, FORMAT_VERSION, len(header)))
         fh.write(header)
@@ -365,52 +379,65 @@ def write_capture(path, capture: Capture) -> None:
 def read_capture(path) -> Capture:
     """Read a capture file back into a :class:`Capture`.
 
+    A regular file's payload is mapped copy-on-write, not read: the snapshots are
+    a writable ``ndarray`` view of it that never writes the file, file-backed pages
+    (shared with forked children) that count in RSS once touched but not in
+    ``tracemalloc``.  Changing the file in place while it is read is undefined
+    (the kernel may raise SIGBUS); replacing it by rename is safe.  A pipe, and
+    an empty payload, are read into one writable buffer.
+
     Raises:
         CaptureFormatError: bad magic, unsupported version, malformed
             header, or payload size mismatch.
     """
-    with open(path, "rb") as fh:  # one writable buffer, so snapshot data is too
-        raw = bytearray(os.fstat(fh.fileno()).st_size)
-        got = fh.readinto(raw)
-        raw[got:] = fh.read()  # a pipe's bytes, as fstat sizes it 0
-    if len(raw) < _PROLOGUE.size:
-        raise CaptureFormatError(f"file too short for prologue: {len(raw)} bytes")
-    magic, version, header_len = _PROLOGUE.unpack_from(raw)
-    if magic != MAGIC:
-        raise CaptureFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise CaptureFormatError(
-            f"unsupported format version {version}, expected {FORMAT_VERSION}"
-        )
-    header_end = _PROLOGUE.size + header_len
-    if len(raw) < header_end:
-        raise CaptureFormatError("file too short for declared header length")
-    try:
-        header = json.loads(raw[_PROLOGUE.size : header_end].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
-        raise CaptureFormatError(f"malformed capture header: {exc}") from exc
-    try:
-        cfg = config_from_dict(header["config"])
-        declared = header["snapshot_count"]
-        meta = {key: header[key] for key in _HEADER_FIELDS}
-    except (KeyError, TypeError, ConfigurationError) as exc:
-        raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
-    count = cfg.num_snapshots
-    if type(declared) is not int or declared != count:
-        raise CaptureFormatError(f"capture header snapshot_count must be the config's "
-                                 f"num_snapshots, {count}, got {declared!r}")
-    record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
-    expected = count * record_bytes
-    payload = memoryview(raw)[header_end:]
-    if len(payload) != expected:
-        raise CaptureFormatError(
-            f"payload is {len(payload)} bytes, expected {expected} "
-            f"({count} snapshots x {record_bytes})"
-        )
-    try:  # an empty capture can declare a signal_len too large to address
-        data = np.frombuffer(payload, SAMPLE_DTYPE).reshape(count, cfg.signal_len)
-    except ValueError as exc:
-        raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        mapped = stat.S_ISREG(info.st_mode)
+        raw = bytearray(fh.read(_PROLOGUE.size))
+        while not mapped and (chunk := fh.read1()):  # a pipe: every byte, in one buffer
+            raw += chunk
+        size = info.st_size if mapped else len(raw)
+        if len(raw) < _PROLOGUE.size:
+            raise CaptureFormatError(f"file too short for prologue: {size} bytes")
+        magic, version, header_len = _PROLOGUE.unpack_from(raw)
+        if magic != MAGIC:
+            raise CaptureFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise CaptureFormatError(
+                f"unsupported format version {version}, expected {FORMAT_VERSION}"
+            )
+        header_end = _PROLOGUE.size + header_len
+        if size < header_end:
+            raise CaptureFormatError("file too short for declared header length")
+        raw += fh.read(header_len if mapped else 0)
+        try:
+            header = json.loads(raw[_PROLOGUE.size : header_end].decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, or an over-long integer
+            raise CaptureFormatError(f"malformed capture header: {exc}") from exc
+        try:
+            cfg = config_from_dict(header["config"])
+            declared = header["snapshot_count"]
+            meta = {key: header[key] for key in _HEADER_FIELDS}
+        except (KeyError, TypeError, ConfigurationError) as exc:
+            raise CaptureFormatError(f"capture header missing or invalid fields: {exc}") from exc
+        count = cfg.num_snapshots
+        if type(declared) is not int or declared != count:
+            raise CaptureFormatError(f"capture header snapshot_count must be the config's "
+                                     f"num_snapshots, {count}, got {declared!r}")
+        record_bytes = cfg.signal_len * SAMPLE_DTYPE.itemsize
+        expected = count * record_bytes
+        if size - header_end != expected:
+            raise CaptureFormatError(
+                f"payload is {size - header_end} bytes, expected {expected} "
+                f"({count} snapshots x {record_bytes})"
+            )
+        shape = (count, cfg.signal_len)
+        try:  # an empty capture can declare a signal_len too large to address
+            data = (np.memmap(fh, SAMPLE_DTYPE, "c", header_end, shape).view(np.ndarray)
+                    if mapped and expected else
+                    np.frombuffer(memoryview(raw)[header_end:], SAMPLE_DTYPE).reshape(shape))
+        except ValueError as exc:
+            raise CaptureFormatError(f"unaddressable snapshot records: {exc}") from exc
     try:
         return Capture(config=cfg, snapshots=data, **meta)
     except ConfigurationError as exc:

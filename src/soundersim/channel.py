@@ -144,8 +144,7 @@ def convolve_taps(tx: np.ndarray, model: ChannelModel) -> np.ndarray:
     """The tapped delay line's output: the part that depends only on ``tx``.
 
     Each output sample sums its echoes in tap order, ``tx`` converted to
-    float once.  No block loop: those remain in the noise and tone scratch,
-    the export's rows and the float formatter's passes.
+    float once, with no block loop (see ``fixedpoint.BLOCK_LEN``).
 
     Returns:
         complex128 array of ``len(tx) + model.max_delay`` samples: the
@@ -293,11 +292,12 @@ def apply_channel(
 
     The long-stream oracle that tests and ``bench/`` compare campaigns
     against (``run_campaign`` never calls it).  Deterministic: the same
-    arguments always produce bit-identical samples.  Saturated I/Q
-    components are clipped to the rails and counted.
+    arguments always produce bit-identical samples.  The output is quantized
+    in its own buffer, saturated I/Q components clipped to the rails and counted.
     """
     received = add_interference_and_noise(convolve_taps(tx, model), model, start_index, rng)
-    return ChannelResult(*fixedpoint.quantize_clipped(received))
+    samples = np.empty(len(received), fixedpoint.SAMPLE_DTYPE)
+    return ChannelResult(samples, fixedpoint.quantize_in_place(received, samples))
 
 
 @dataclass(frozen=True)

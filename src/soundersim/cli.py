@@ -10,7 +10,11 @@ per snapshot and delay (``pdp``, ``cir``) or occupied bin
 per table.  It estimates, spells and writes the value columns one block
 of snapshots at a time, in up to one process per usable core, with the
 same bytes and no setting; each forked child adds about 4.0-5.8 MiB of
-private memory at the default config.
+private memory at the default config.  A regular capture file is mapped,
+not read (:func:`campaign.read_capture`): its pages are file-backed, in RSS
+once touched but unseen by ``tracemalloc``.  Changing it in place while a
+command reads it is undefined (the kernel may raise SIGBUS), replacing it by
+rename is safe, and an ``--out`` that is the capture itself exits 3.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -42,7 +46,7 @@ from .campaign import (
 )
 from .channel import load_channel, validate_config
 from .config import load_config
-from .errors import SounderError
+from .errors import ConfigurationError, SounderError
 from .estimator import (
     CalibrationProfile,
     apply_calibration,
@@ -362,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:  # calibrate and estimate: the capture, truncated while it is mapped, would be lost
+        if "capture" in args and "out" in args and campaign._same_file(args.capture, args.out):
+            raise ConfigurationError(f"--out {args.out} is the capture it reads")
         return args.func(args)
     except SounderError as exc:
         return _fail(exc.category, str(exc), exc.exit_code)

@@ -91,8 +91,7 @@ def quantize_clipped(values) -> tuple[np.ndarray, int]:
     """Like :func:`quantize` but also count saturated components.
 
     :func:`quantize_in_place` on a C-ordered copy, so ``values`` itself is
-    never written.  No block loop: those remain in the noise and tone
-    scratch, the export's rows and the float formatter's passes.
+    never written.
 
     Returns:
         ``(samples, clipped)`` where ``clipped`` is the number of I/Q

@@ -686,39 +686,105 @@ def test_read_rejects_payload_size_mismatch(tmp_path):
         read_capture(path)
 
 
+def _write_counting_capture(path, count):
+    """A capture of ``count`` default-config snapshots whose samples, read as
+    32-bit words, count up from 0."""
+    cfg = SounderConfig(num_snapshots=count)
+    words = np.arange(count * cfg.signal_len, dtype="<u4").reshape(count, cfg.signal_len)
+    write_capture(path, campaign.Capture(
+        config=cfg, channel_digest="0" * 64, prng="pcg64", seed=count, created=CREATED,
+        clipped_components=0, snapshots=words.view(fixedpoint.SAMPLE_DTYPE)))
+    return words
+
+
 def test_read_capture_reads_a_pipe(tmp_path):
-    # A pipe has no size to read ahead of its bytes (fstat says 0).
-    path, raw = _write_valid_capture(tmp_path)
+    # A pipe has no size to read ahead of its bytes (fstat says 0), and
+    # cannot be mapped: it is read into one buffer, which the snapshots
+    # view, within 1.25 x the file (1.11 x measured with numpy 2.4).
+    path = tmp_path / "run.capture"
+    words = _write_counting_capture(path, 256)
+    raw = path.read_bytes()
     fifo = tmp_path / "capture.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(raw,))
     writer.start()
-    try:
-        got = read_capture(fifo)
-    finally:
-        writer.join()
-    assert np.array_equal(got.snapshots, read_capture(path).snapshots)
-
-
-@pytest.mark.parametrize("count", [16, 256, 1024])
-def test_read_capture_holds_the_file_once(tmp_path, count):
-    # The file is read into one buffer that the snapshots view, so the
-    # traced peak stays within 1.25 x the file size (1.09, 1.006 and 1.001 x
-    # measured with numpy 2.4; a second copy of the bytes would make it 2 x).
-    cfg = SounderConfig(num_snapshots=count)
-    path = tmp_path / "run.capture"
-    write_capture(path, campaign.Capture(
-        config=cfg, channel_digest="0" * 64, prng="pcg64", seed=count, created=CREATED,
-        clipped_components=0, snapshots=np.zeros((count, cfg.signal_len), fixedpoint.SAMPLE_DTYPE)))
-    read_capture(path)
     tracemalloc.start()
     try:
-        capture = read_capture(path)
+        got = read_capture(fifo)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capture.snapshots.shape == (count, cfg.signal_len)
-    assert peak <= 1.25 * path.stat().st_size
+        writer.join()
+    assert np.array_equal(got.snapshots.view("<u4"), words)
+    assert got.snapshots.flags.writeable
+    assert peak <= 1.25 * len(raw)
+
+
+@pytest.mark.parametrize("count", [16, 256, 1024, 4096])
+def test_read_capture_holds_the_file_once(tmp_path, count):
+    # A regular file is held once, by the map of its payload: only the
+    # prologue and the header are read, so the traced peak stays under
+    # 64 KiB at any length (about 11 KiB measured with numpy 2.4).
+    words = _write_counting_capture(tmp_path / "run.capture", count)
+    read_capture(tmp_path / "run.capture")
+    tracemalloc.start()
+    try:
+        capture = read_capture(tmp_path / "run.capture")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(capture.snapshots.view("<u4"), words)
+    assert peak <= 64 * 1024
+
+
+def test_mapped_snapshots_are_copy_on_write(tmp_path):
+    path = tmp_path / "run.capture"
+    words = _write_counting_capture(path, 16)
+    raw = path.read_bytes()
+    capture = read_capture(path)
+    assert type(capture.snapshots) is np.ndarray
+    capture.snapshots[3, 5] = (7, -7)
+    capture.snapshots[-1] = capture.snapshots[3]
+    assert tuple(capture.snapshots[-1, 5]) == (7, -7)
+    assert path.read_bytes() == raw
+    assert np.array_equal(read_capture(path).snapshots.view("<u4"), words)
+
+
+@pytest.mark.parametrize("created", [CREATED, "2026-03-01T12:00:00Z",
+                                     "2026-03-01T12:00:00.500+01:00"])
+def test_write_capture_over_the_file_its_payload_maps(tmp_path, created):
+    # Truncating the file first would unmap the payload it writes (SIGBUS),
+    # so it is copied to memory: the bytes are those of the same capture
+    # written from memory, and byte-identical when nothing changes.
+    path = tmp_path / "run.capture"
+    write_capture(path, run_campaign(_small_config(num_snapshots=5),
+                                     _small_channel(noise_std=0.05), created=CREATED))
+    original = path.read_bytes()
+    capture = dataclasses.replace(read_capture(path), created=created)
+    write_capture(tmp_path / "expected.capture", capture)
+    assert ((tmp_path / "expected.capture").read_bytes() == original) == (created == CREATED)
+    snapshots = np.array(capture.snapshots)
+    os.link(path, tmp_path / "hard.capture")
+    for target in (path, tmp_path / "hard.capture"):
+        mapped = dataclasses.replace(read_capture(path), created=created)
+        write_capture(target, mapped)
+        assert target.read_bytes() == (tmp_path / "expected.capture").read_bytes()
+        assert mapped.snapshots.base is None  # it keeps the copy, as the map has moved
+        assert np.array_equal(mapped.snapshots, snapshots)
+
+
+def test_write_capture_of_a_payload_in_memory_checks_no_file(tmp_path, monkeypatch):
+    # Campaigns write captures in their timed loops: no file is compared
+    # unless the payload is mapped.
+    def no_check(*paths):
+        raise AssertionError(f"compared {paths}")
+    capture = run_campaign(_small_config(), _small_channel(noise_std=0.05), created=CREATED)
+    write_capture(tmp_path / "run.capture", capture)
+    other = dataclasses.replace(capture, snapshots=np.concatenate([capture.snapshots] * 2)[:3])
+    monkeypatch.setattr(campaign, "_same_file", no_check)
+    write_capture(tmp_path / "run.capture", capture)
+    write_capture(tmp_path / "other.capture", other)
+    assert (tmp_path / "run.capture").read_bytes() == (tmp_path / "other.capture").read_bytes()
 
 
 _RAGGED = r"snapshots must form one \(2, 64\) block: .* inhomogeneous shape"

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -451,6 +452,39 @@ def test_estimate_with_a_profile_without_a_usable_bin_exits_3(tmp_path, capsys):
     # Such a profile still loads, as files written before the check may hold one.
     _estimate_with_edited_profile(tmp_path, capsys, lambda p: p.update(threshold=1e9),
                                   "no occupied calibration reference bin")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "estimate"])
+@pytest.mark.parametrize("link", ["path", "symlink", "hard-link"])
+def test_out_that_is_the_capture_exits_3_and_leaves_it(tmp_path, capsys, monkeypatch,
+                                                       command, link):
+    # Opening --out would truncate the capture that the command maps.
+    path = _simulated_capture(tmp_path, capsys)
+    raw = path.read_bytes()
+    out = {"path": path, "symlink": tmp_path / "link", "hard-link": tmp_path / "hard"}[link]
+    if link == "symlink":
+        out.symlink_to(path)
+    elif link == "hard-link":
+        os.link(path, out)
+    read = []
+    monkeypatch.setattr(cli, "read_capture", read.append)
+    assert main([command, str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and read == []
+    err = json.loads(captured.err)["error"]
+    assert err == {"category": "validation", "message": f"--out {out} is the capture it reads"}
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("command", ["calibrate", "estimate"])
+def test_out_beside_the_capture_is_written(tmp_path, capsys, command):
+    path = _simulated_capture(tmp_path, capsys)
+    raw = path.read_bytes()
+    fresh = tmp_path / "fresh.out"
+    for out in (os.devnull, fresh, fresh):  # a device, a new file, then an existing one
+        assert main([command, str(path), "--out", str(out)]) == 0
+    assert fresh.stat().st_size > 0 and path.read_bytes() == raw
+    assert main([command, str(tmp_path / "nope.capture"), "--out", str(fresh)]) == 4
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

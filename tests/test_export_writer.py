@@ -243,64 +243,59 @@ def test_serial_cases_fork_nothing(monkeypatch, forked, tmp_path, case):
 
 @pytest.fixture(scope="module")
 def default_captures(tmp_path_factory):
-    """Noisy captures of 256 and 1024 snapshots at the default config."""
+    """Noisy captures of 256 and 4096 snapshots at the default config; the
+    longer one repeats the shorter one's snapshots."""
+    cfg = SounderConfig(num_snapshots=256)
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    symbol = to_float(quantize(wf.time_signal))
+    rng = np.random.default_rng(256)
+    noise = 0.01 * (rng.standard_normal((256, cfg.signal_len))
+                    + 1j * rng.standard_normal((256, cfg.signal_len)))
+    data, clipped = quantize_clipped((symbol + 0.3 * np.roll(symbol, 7) + noise)
+                                     * (cfg.avg_count / 2**cfg.shift_bits))
     paths = {}
-    for count in (256, 1024):
-        cfg = SounderConfig(num_snapshots=count)
-        wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
-        symbol = to_float(quantize(wf.time_signal))
-        rng = np.random.default_rng(count)
-        noise = 0.01 * (rng.standard_normal((count, cfg.signal_len))
-                        + 1j * rng.standard_normal((count, cfg.signal_len)))
-        data, clipped = quantize_clipped((symbol + 0.3 * np.roll(symbol, 7) + noise)
-                                         * (cfg.avg_count / 2**cfg.shift_bits))
+    for count in (256, 4096):
         paths[count] = tmp_path_factory.mktemp("default") / "run.capture"
         campaign.write_capture(paths[count], campaign.Capture(
-            config=cfg, channel_digest="0" * 64, prng="pcg64", seed=count, created=CREATED,
-            clipped_components=clipped, snapshots=data))
+            config=SounderConfig(num_snapshots=count), channel_digest="0" * 64, prng="pcg64",
+            seed=count, created=CREATED, clipped_components=clipped,
+            snapshots=np.tile(data, (count // 256, 1))))
     return paths
 
 
-#: Traced peak of a one-worker estimate of 256 default snapshots, in MiB,
-#: measured with numpy 2.4.
-PEAK_256_MIB = {"pdp": 3.38, "cir": 3.70, "response": 3.26}
+#: Traced peak of each command on 256 default snapshots, ``estimate`` on one
+#: worker, in MiB, measured with numpy 2.4.
+PEAK_256_MIB = {"estimate-pdp": 2.38, "estimate-cir": 2.71, "estimate-response": 2.27,
+                "calibrate": 0.45, "report": 0.05}
+
+#: What each command prints for 4096 snapshots: a table's rows, or snapshots.
+PRINTED_4096 = {"estimate-pdp": ("rows", 4096 * 1024), "estimate-cir": ("rows", 4096 * 1024),
+                "estimate-response": ("rows", 4096 * SounderConfig().zc.length),
+                "calibrate": ("snapshots", 4096), "report": ("snapshots", 4096)}
 
 
-@pytest.mark.parametrize("kind", sorted(PEAK_256_MIB))
-def test_estimate_memory_grows_only_by_the_capture_read(monkeypatch, capsys,
-                                                        default_captures, kind):
-    # Each block of 8 snapshots is estimated, spelled and written before the
-    # next is made, so from 256 to 1024 snapshots the traced peak grows only
-    # by the capture read, 4 KiB per snapshot.
+@pytest.mark.parametrize("command", sorted(PEAK_256_MIB))
+def test_traced_peak_does_not_grow_with_the_capture(monkeypatch, capsys, tmp_path,
+                                                     default_captures, command):
+    # The capture is mapped, not read, and each block of 8 snapshots is
+    # estimated, spelled and written (or added into calibrate's average)
+    # before the next is made, so from 256 to 4096 snapshots the traced peak
+    # grows only by the text of the snapshot numbers, under 64 KiB.
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
-    args = ["--kind", kind, "--out", os.devnull]
-    assert cli.main(["estimate", str(default_captures[256]), *args]) == 0  # fills the caches
+    name, _, kind = command.partition("-")
+    args = {"estimate": ["--kind", kind, "--out", os.devnull],
+            "calibrate": ["--out", str(tmp_path / "calibration.json")], "report": []}[name]
+    assert cli.main([name, str(default_captures[256]), *args]) == 0  # fills the caches
     peaks = []
-    for count in (256, 1024):
+    for count in (256, 4096):
+        capsys.readouterr()  # leaves the 4096-snapshot run's output alone
         tracemalloc.start()
         try:
-            assert cli.main(["estimate", str(default_captures[count]), *args]) == 0
+            assert cli.main([name, str(default_captures[count]), *args]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert json.loads(capsys.readouterr().out.splitlines()[-1])["rows"] == (
-        1024 * (SounderConfig().zc.length if kind == "response" else 1024))
-    assert peaks[1] - peaks[0] <= 1.25 * 768 * 4 * 1024
-    assert peaks[0] <= 1.25 * PEAK_256_MIB[kind] * 2**20
-
-
-def test_calibrate_memory_grows_only_by_the_capture_read(default_captures, tmp_path):
-    # calibrate adds one block of 8 snapshots at a time into its average, so
-    # from 256 to 1024 snapshots the traced peak grows only by the capture
-    # read, 4 KiB per snapshot.
-    out = str(tmp_path / "calibration.json")
-    assert cli.main(["calibrate", str(default_captures[256]), "--out", out]) == 0  # fills caches
-    peaks = []
-    for count in (256, 1024):
-        tracemalloc.start()
-        try:
-            assert cli.main(["calibrate", str(default_captures[count]), "--out", out]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 1.25 * 768 * 4 * 1024
+    key, value = PRINTED_4096[command]
+    assert json.loads(capsys.readouterr().out)[key] == value
+    assert peaks[1] - peaks[0] <= 64 * 1024
+    assert peaks[0] <= 1.25 * PEAK_256_MIB[command] * 2**20
