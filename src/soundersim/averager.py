@@ -30,6 +30,8 @@ Two equivalent implementations are provided:
 * :func:`select_and_average` -- the vectorized golden model used by the
   simulator, bit-identical to the state machine.  It shifts the window
   where it lies, so the caller's samples are consumed.
+  :func:`average_repeated` is its value over a window that repeats one
+  symbol, from its value over that symbol alone.
 """
 
 from __future__ import annotations
@@ -259,3 +261,19 @@ def select_and_average(
     np.right_shift(words, config.shift_bits, out=words)
     data = words.sum(axis=0, dtype=np.int16).astype("<i2", copy=False).view(SAMPLE_DTYPE)
     return Snapshot(data=data, snapshot_index=snapshot_index, config=config)
+
+
+def average_repeated(one: Snapshot, config: AveragerConfig) -> Snapshot:
+    """:func:`select_and_average` under ``config`` over a window whose
+    ``avg_count`` symbols all repeat one symbol, bit for bit, from ``one``:
+    :func:`select_and_average` of that symbol alone (one symbol, no discard).
+
+    That is the symbol shifted once, and equal shifted symbols sum to
+    ``avg_count`` times it, which fits int16 by the same ``avg_count <=
+    2**shift_bits`` invariant.  ``one`` is multiplied in place.
+    """
+    # avg_count (up to 2**15) fits uint16, whose product modulo 2**16 is
+    # the int16 one; the exact product fits int16, so it is that product.
+    words = one.data.view("<u2")
+    np.multiply(words, config.avg_count, out=words)
+    return Snapshot(data=one.data, snapshot_index=one.snapshot_index, config=config)

@@ -26,23 +26,26 @@ nor convolved.
 
 Only the noise and interferer phases differ between snapshots, so the
 tap sum is computed once per campaign, for static and noisy channels
-alike, and :meth:`TapSum.fill` lays its pieces out in a buffer of any
-dtype: each noisy snapshot fills a complex one and adds its own
-interference and noise.  Noise for snapshot k comes from an
-independent PCG64 stream spawned from the channel seed with key (k,),
-drawn over the propagated samples (the ``"pcg64-window"`` scheme named
-in the header), so any snapshot can be reproduced without generating
-its predecessors.  So they run on up to one thread per usable core,
+alike, and each noisy snapshot lays its pieces out in a complex buffer
+(:meth:`TapSum.fill`) and adds its own interference and noise.  Noise
+for snapshot k comes from an independent PCG64 stream spawned from the
+channel seed with key (k,), drawn over the propagated samples (the
+``"pcg64-window"`` scheme named in the header), so any snapshot can be
+reproduced without generating its predecessors.  So they run on up to one thread per usable core,
 worker w of W taking snapshots w, w + W, ... on buffers it allocates once
 per campaign (the window's complex128 samples, their int16 image and
 float64 scratch for the tones and noise, about 1.8 MiB at the default
 config), quantizing and averaging in place, and a capture's payload is the
 same across runs, hosts, core counts and trigger flanks.  A static
 channel (no noise, no interferer) gives every snapshot the same
-samples, so its non-empty pieces are quantized once and laid out like
-a noisy worker's buffer, its window is averaged once, and the
-saturation count is multiplied by the snapshot count.  No step calls
-the long-stream oracle that tests compare campaigns against.
+samples, and :func:`validate_config` puts its whole averaging window in
+the tap sum's periodic part, so every averaged symbol is the quantized
+period rotated to the window's phase.  Its non-empty pieces are quantized
+once, for the saturation count, which is multiplied by the snapshot
+count, and the rotated period is averaged once as ``avg_count`` repeats
+of itself (:func:`average_repeated`): the window is never laid out, so
+neither time nor memory grows with ``avg_count``.  No step calls the
+long-stream oracle that tests compare campaigns against.
 
 Capture files are a fixed 10-byte prologue, a JSON header, then the raw
 snapshot payload::
@@ -72,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .averager import select_and_average
+from .averager import AveragerConfig, average_repeated, select_and_average
 from .channel import (
     SCRATCH_LEN,
     ChannelModel,
@@ -183,7 +186,10 @@ class TapSum(NamedTuple):
     tail: np.ndarray
 
     def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the whole tap sum into ``out``, of any dtype, and return it."""
+        """Write the whole tap sum into ``out``, of any dtype, and return it.
+
+        A noisy worker fills its window buffer each snapshot; a static
+        campaign fills nothing, as it averages one rotated period."""
         stop = len(out) - len(self.tail)
         whole, rest = divmod(stop - self.start, len(self.period))
         out[: self.start] = self.head
@@ -267,15 +273,19 @@ def run_campaign(
     window_len = acfg.window_len
     taps = tap_sum(wf, cfg, model, offset)  # the same for every snapshot
     if model.noise_std == 0 and not model.interferers:
-        # A static channel adds nothing that depends on the snapshot index:
-        # every row is snapshot 0, laid out and averaged as a noisy worker's.
+        # A static channel adds nothing that depends on the snapshot index, and
+        # validate_config puts the averaging window in the tap sum's periodic
+        # part: every row is the quantized period, rotated to the window's
+        # phase and averaged as avg_count repeats of itself.  The window is
+        # whole symbols ending rest samples into a period, so that is its phase.
         whole, rest = divmod(tail + window_len - taps.start, cfg.signal_len)
-        (head, h), (period, p), (end, t), (_, r) = (
-            quantize_clipped(piece) if len(piece) else (np.empty(0, SAMPLE_DTYPE), 0)
+        (_, h), (period, p), (_, t), (_, r) = (
+            quantize_clipped(piece) if len(piece) else (None, 0)
             for piece in (taps.head, taps.period, taps.tail, taps.period[:rest]))
-        words = TapSum(head.view(np.uint32), period.view(np.uint32), taps.start,
-                       end.view(np.uint32)).fill(np.empty(window_len + 2 * tail, np.uint32))
-        first = select_and_average(words[tail : tail + window_len].view(SAMPLE_DTYPE), acfg)
+        words = period.view(np.uint32)  # whole samples, moved faster than a record dtype
+        rotated = np.concatenate((words[rest:], words[:rest])).view(SAMPLE_DTYPE)
+        symbol = AveragerConfig(cfg.signal_len, 0, 1, acfg.shift_bits)  # the period alone
+        first = average_repeated(select_and_average(rotated, symbol), acfg)
         block = np.repeat(first.data[np.newaxis], cfg.num_snapshots, axis=0)
         clipped = cfg.num_snapshots * (h + whole * p + r + t)  # the whole tap sum's clips
     else:

@@ -14,7 +14,9 @@ private memory at the default config.  A regular capture file is mapped,
 not read (:func:`campaign.read_capture`): its pages are file-backed, in RSS
 once touched but unseen by ``tracemalloc``.  Changing it in place while a
 command reads it is undefined (the kernel may raise SIGBUS), replacing it by
-rename is safe, and an ``--out`` that is the capture itself exits 3.
+rename is safe.  An ``--out`` that is a file the command reads (the capture,
+``--calibration``, ``--config`` or ``--channel``) exits 3 before anything is
+opened.
 
 Exit codes: 0 success, 3 validation/configuration errors, 4 I/O errors,
 5 malformed capture files.  Errors are emitted as a single JSON line on
@@ -187,7 +189,7 @@ def _cmd_generate(args) -> int:
     wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
     frame = build_tx_frame(wf, cfg)
     with open(args.out, "wb") as fh:
-        fh.write(frame.tobytes())
+        fh.write(frame)
     print(json.dumps({
         "samples": len(frame),
         "bytes": len(frame) * frame.dtype.itemsize,
@@ -366,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # calibrate and estimate: the capture, truncated while it is mapped, would be lost
-        if "capture" in args and "out" in args and campaign._same_file(args.capture, args.out):
-            raise ConfigurationError(f"--out {args.out} is the capture it reads")
+    try:  # opening --out would truncate an input, the mapped capture among them
+        for name in ("capture", "calibration", "config", "channel"):
+            if "out" in args and campaign._same_file(getattr(args, name, None), args.out):
+                raise ConfigurationError(f"--out {args.out} is the {name} it reads")
         return args.func(args)
     except SounderError as exc:
         return _fail(exc.category, str(exc), exc.exit_code)

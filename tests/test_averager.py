@@ -10,6 +10,7 @@ from soundersim.averager import (
     AveragerConfig,
     AveragerState,
     Phase,
+    average_repeated,
     run_state_machine,
     select_and_average,
     step_state_machine,
@@ -111,6 +112,35 @@ def test_vectorized_matches_state_machine_bytes(case):
     stream, cfg = case
     expected = run_state_machine(stream, cfg).data.tobytes()
     assert select_and_average(stream, cfg).data.tobytes() == expected
+
+
+@given(shift=st.integers(0, 15), data=st.data())
+def test_repeated_symbol_averages_as_the_window_it_repeats(shift, data):
+    # average_repeated multiplies one symbol, shifted by select_and_average,
+    # by avg_count: the sum select_and_average makes of avg_count equal
+    # shifted symbols, at every shift and count, avg_count = 2**15 and the
+    # int16 rails included.
+    cfg = AveragerConfig(signal_len=2 * data.draw(st.integers(1, 8)),
+                         discard_len=2 * data.draw(st.integers(0, 4)),
+                         avg_count=data.draw(st.integers(1, 2**shift)), shift_bits=shift)
+    parts = data.draw(arrays(np.int16, (cfg.signal_len, 2), elements=_COMPONENTS))
+    symbol = fp.from_components(parts[:, 0], parts[:, 1])
+    discarded = _random_stream(np.random.default_rng(shift), cfg.discard_len)
+    stream = np.concatenate([discarded, np.tile(symbol, cfg.avg_count)])
+    expected = select_and_average(stream, cfg).data.tobytes()
+    one = select_and_average(symbol, AveragerConfig(cfg.signal_len, 0, 1, shift))
+    assert average_repeated(one, cfg).data.tobytes() == expected
+
+
+@pytest.mark.parametrize("avg_count, shift_bits", [(2**15, 15), (2**15 - 1, 15), (128, 7)])
+def test_repeated_symbol_at_the_rails_and_the_largest_count(avg_count, shift_bits):
+    # 2**15 does not fit int16, yet the product does: -1 x 2**15 is INT_MIN.
+    cfg = AveragerConfig(signal_len=4, discard_len=0, avg_count=avg_count,
+                         shift_bits=shift_bits)
+    symbol = fp.from_components([fp.INT_MIN, fp.INT_MAX, -1, 0], [fp.INT_MAX, fp.INT_MIN, 1, -1])
+    expected = select_and_average(np.tile(symbol, avg_count), cfg).data.tobytes()
+    one = select_and_average(symbol, AveragerConfig(4, 0, 1, shift_bits))
+    assert average_repeated(one, cfg).data.tobytes() == expected
 
 
 @pytest.mark.parametrize("signal_len, avg_count, shift_bits", [

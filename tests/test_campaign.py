@@ -245,18 +245,20 @@ def test_a_campaign_convolves_and_quantizes_only_pieces_that_hold_samples(
 
 
 @pytest.mark.parametrize("model, budget_kib", [
-    (ChannelModel(taps=((0, 1.0),)), 456),
+    (ChannelModel(taps=((0, 1.0),)), 70),
     (ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)), noise_std=0.02,
                   interferers=(Interferer(freq=0.0371, amplitude=0.05),), seed=3), 2212),
 ], ids=["cable", "noisy"])
 def test_default_campaign_never_builds_the_frame(monkeypatch, model, budget_kib):
     # The default transmit frame is 2.5 M samples of 4 bytes, 10 MB on
     # its own; a campaign needs only the window's segment of it, and a
-    # static one only one symbol period of that segment's tap sum.  The
-    # budgets are 1.25 x the traced peaks measured with numpy 2.4 on one
-    # worker: 365 KiB static and 1770 KiB noisy, whose worker holds one
-    # window-sized complex128 buffer (1.04 MiB).  Another such buffer,
-    # shared or not, or a float copy of the segment breaks them.
+    # static one only one symbol period of that segment's tap sum, which
+    # it averages without laying out the window.  The budgets are 1.25 x
+    # the traced peaks measured with numpy 2.4 on one worker: 56 KiB
+    # static and 1770 KiB noisy, whose worker holds one window-sized
+    # complex128 buffer (1.04 MiB).  Another such buffer, shared or not,
+    # or a float copy of the segment breaks them; so does a window of
+    # int16 samples (264 KiB) in a static campaign.
     monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
     cfg = SounderConfig(num_snapshots=2)
     run_campaign(cfg, model, created=CREATED)  # fills the symbol and tone caches
@@ -267,6 +269,25 @@ def test_default_campaign_never_builds_the_frame(monkeypatch, model, budget_kib)
     finally:
         tracemalloc.stop()
     assert peak < budget_kib * 1024
+
+
+def test_static_campaign_memory_does_not_grow_with_the_averaging_window():
+    # A static campaign averages one symbol period as avg_count repeats of
+    # itself, so 1024 symbols (a 4 MiB window) trace within 16 KiB of 64:
+    # 75 and 75 KiB with numpy 2.4, where laying the window out took 323
+    # and 4163 KiB.
+    model = ChannelModel(taps=((5, 0.8), (60, 0.4j), (170, -0.2 + 0.1j)))
+    peaks = []
+    for avg_count, shift_bits in ((64, 6), (1024, 10)):
+        cfg = SounderConfig(num_snapshots=2, avg_count=avg_count, shift_bits=shift_bits)
+        run_campaign(cfg, model, created=CREATED)  # fills the symbol cache
+        tracemalloc.start()
+        try:
+            run_campaign(cfg, model, created=CREATED)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
 def test_noisy_campaign_memory_grows_by_one_row_per_snapshot(monkeypatch):

@@ -130,6 +130,11 @@ gains = st.builds(
     st.floats(-1.5, 1.5, allow_nan=False),
     st.floats(-1.5, 1.5, allow_nan=False),
 )
+hot_gains = st.builds(
+    complex,
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
 tones = st.builds(
     Interferer,
     freq=st.floats(-0.5, 0.5, exclude_min=True),
@@ -139,14 +144,22 @@ tones = st.builds(
 
 
 @st.composite
-def campaigns(draw, max_avg_count=4):
-    """A small sounder, a channel it can measure and a valid timing error."""
+def campaigns(draw, max_avg_count=4, static=False):
+    """A small sounder, a channel it can measure and a valid timing error.
+
+    A ``static`` channel has neither noise nor tones, and its taps, of
+    gains up to 3, often clip; its sounder shifts by 0 to 7 bits and
+    averages any count that shift allows."""
     signal_len = draw(st.sampled_from([16, 32, 64]))
     zc_len = draw(st.integers(3, signal_len))
     root = draw(st.sampled_from([r for r in range(1, zc_len) if math.gcd(r, zc_len) == 1]))
-    avg_count = draw(st.integers(1, max_avg_count))
-    least_shift = (avg_count - 1).bit_length()
-    shift_bits = draw(st.integers(least_shift, max(least_shift, 3)))
+    if static:
+        shift_bits = draw(st.integers(0, 7))
+        avg_count = draw(st.integers(1, 2**shift_bits))
+    else:
+        avg_count = draw(st.integers(1, max_avg_count))
+        least_shift = (avg_count - 1).bit_length()
+        shift_bits = draw(st.integers(least_shift, max(least_shift, 3)))
     first = draw(st.integers(0, 8))
     delays = draw(st.lists(st.integers(first, first + signal_len - 1),
                            min_size=0, max_size=2, unique=True))
@@ -162,10 +175,10 @@ def campaigns(draw, max_avg_count=4):
         num_snapshots=draw(st.integers(1, 3)),
     )
     model = ChannelModel(
-        taps=tuple(zip(delays, draw(st.lists(gains, min_size=len(delays),
-                                             max_size=len(delays))))),
-        noise_std=draw(st.sampled_from([0.0, 0.0, 0.01, 0.1])),
-        interferers=tuple(draw(st.lists(tones, max_size=2))),
+        taps=tuple(zip(delays, draw(st.lists(hot_gains if static else gains,
+                                             min_size=len(delays), max_size=len(delays))))),
+        noise_std=0.0 if static else draw(st.sampled_from([0.0, 0.0, 0.01, 0.1])),
+        interferers=() if static else tuple(draw(st.lists(tones, max_size=2))),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
     lag = draw(st.integers(window_len - train - first, discard_len - signal_len - first))
@@ -194,6 +207,33 @@ def test_campaign_matches_oracles_bit_for_bit(case):
         long_stream = _long_stream_oracle(cfg, model, offset)
         for row, expected in zip(capture.snapshots, long_stream):
             assert np.array_equal(row, expected)
+
+
+@SETTINGS
+@given(campaigns(static=True))
+def test_static_campaign_matches_its_laid_out_window_bit_for_bit(case):
+    # A static campaign averages one quantized period, rotated to the
+    # window's phase, as avg_count repeats of itself.  The oracle lays the
+    # whole tap sum out with TapSum.fill, quantizes it and averages its
+    # window with select_and_average, which is what a noisy worker does.
+    cfg, model, timing_error = case
+    schedule = PpsSchedule(rep_period_s=cfg.rep_period_s,
+                           sample_period_s=cfg.sample_period_s,
+                           timing_error=timing_error)
+    offset = receiver_offset(schedule)
+    assume(validate_config(cfg, model, offset).passed)
+    capture = run_campaign(cfg, model, schedule, created=CREATED)
+
+    wf = build_sounding_symbol(cfg.zc, cfg.signal_len, cfg.backoff)
+    tail, acfg = model.max_delay, cfg.averager_config()
+    laid_out = tap_sum(wf, cfg, model, offset).fill(
+        np.empty(acfg.window_len + 2 * tail, np.complex128))
+    samples, clipped = quantize_clipped(laid_out)
+    row = select_and_average(samples[tail : tail + acfg.window_len], acfg).data
+    assert capture.clipped_components == cfg.num_snapshots * clipped
+    assert len(capture.snapshots) == cfg.num_snapshots
+    for snapshot in capture.snapshots:
+        assert snapshot.tobytes() == row.tobytes()
 
 
 def _check_reused_buffers(cfg, model, timing_error, cores, tone_rows):

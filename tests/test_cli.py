@@ -1,10 +1,13 @@
 """Command line workflow: generate, validate, simulate, calibrate, estimate."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,27 @@ def test_generate_writes_frame(tmp_path, capsys):
     assert info["train_repetitions"] == 6
     assert info["occupied_bins"] == 51
     assert out.stat().st_size == cfg.frame_len * 4
+
+
+def test_generate_writes_the_frame_without_a_copy(tmp_path, capsys):
+    # The default frame is 2.5 M samples, 9.54 MiB: it is written from the
+    # array itself, so the traced peak stays under 1.25 x its bytes (a copy
+    # made for the write doubles it), and the bytes are pinned.
+    config_path, out = tmp_path / "config.json", tmp_path / "frame.iq"
+    save_config(config_path, SounderConfig())
+    argv = ["generate", "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == 0  # fills the symbol cache
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = SounderConfig().frame_len * 4
+    assert out.stat().st_size == size and peak < 1.25 * size
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9cf25a5a22ce228009a257b5d01e2893d2244d23f78ae77a0c1243db9e3dbea4")
 
 
 def test_validate_pass_and_fail(tmp_path, capsys):
@@ -485,6 +509,43 @@ def test_out_beside_the_capture_is_written(tmp_path, capsys, command):
         assert main([command, str(path), "--out", str(out)]) == 0
     assert fresh.stat().st_size > 0 and path.read_bytes() == raw
     assert main([command, str(tmp_path / "nope.capture"), "--out", str(fresh)]) == 4
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "config"), ("simulate", "config"), ("simulate", "channel"),
+    ("calibrate", "capture"), ("estimate", "capture"), ("estimate", "calibration"),
+])
+@pytest.mark.parametrize("link", ["path", "symlink", "hard-link"])
+def test_out_that_names_an_input_exits_3_and_leaves_it(tmp_path, capsys, monkeypatch,
+                                                       command, flag, link):
+    # Opening --out would truncate the input before the command reads it,
+    # so the command does not run.
+    _, config_path, channel_path = _write_inputs(tmp_path)
+    capture = _simulated_capture(tmp_path, capsys)
+    calibration = tmp_path / "cal.json"
+    assert main(["calibrate", str(capture), "--out", str(calibration)]) == 0
+    capsys.readouterr()
+    inputs = {"config": config_path, "channel": channel_path, "capture": str(capture),
+              "calibration": str(calibration)}
+    argv = {"generate": ["--config", config_path],
+            "simulate": ["--config", config_path, "--channel", channel_path],
+            "calibrate": [str(capture)],
+            "estimate": [str(capture), "--calibration", str(calibration)]}[command]
+    raws = {name: Path(path).read_bytes() for name, path in inputs.items()}
+    out = {"path": inputs[flag], "symlink": tmp_path / "link",
+           "hard-link": tmp_path / "hard"}[link]
+    if link == "symlink":
+        out.symlink_to(inputs[flag])
+    elif link == "hard-link":
+        os.link(inputs[flag], out)
+    ran = []
+    monkeypatch.setattr(cli, f"_cmd_{command}", ran.append)
+    assert main([command, *argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    err = json.loads(captured.err)["error"]
+    assert err == {"category": "validation", "message": f"--out {out} is the {flag} it reads"}
+    assert {name: Path(path).read_bytes() for name, path in inputs.items()} == raws
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

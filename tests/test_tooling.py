@@ -118,6 +118,20 @@ def test_campaign_has_no_second_quantizer_or_averager():
     assert calls == []
 
 
+def test_only_the_averager_shifts():
+    # select_and_average holds the one shift of the shift-and-sum rule; a
+    # static campaign shifts its one symbol with it and multiplies by
+    # avg_count (average_repeated), so no module grows a second shift.
+    shifts = {}
+    for path in sorted((ROOT / "src" / "soundersim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "np"
+                    and node.func.attr == "right_shift"):
+                shifts[path.name] = shifts.get(path.name, 0) + 1
+    assert shifts == {"averager.py": 1}
+
+
 def test_floattext_calls_no_where():
     # The formatter selects between candidates with masked arithmetic: on a
     # block of 8192 values np.where costs several times an add or a xor.
